@@ -5,12 +5,14 @@
 //!
 //! ```text
 //! cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
-//!     --workload host-open --seed 1 --seconds 20 --trace 0
+//!     --workload host-open --seed 1 --seconds 34 --trace 0
 //! ```
 //!
-//! Workloads: `host-closed` and `host-open` (see `host.rs`) and
-//! `fleet-paging` (see `fleet.rs`).  `--trace 0` measures the end-to-end
-//! metrics; `--trace 1` measures the per-layer metrics in a separate run.
+//! Workloads: `host-open` (see `host.rs`) and `fleet-paging` (see
+//! `fleet.rs`).  Each pass has an open-loop phase, which sets the latency
+//! metrics, and a saturating phase, which sets throughput and goodput.
+//! `--trace 0` measures the end-to-end metrics; `--trace 1` measures the
+//! per-layer metrics in a separate run.
 //! `README.md` lists every metric with its source and the end-to-end metric
 //! it should move.
 
@@ -28,13 +30,23 @@ use tw_cluster::ClusterReport;
 use tw_serve::{Admission, ModelStats, ShedReason};
 
 /// Set-ups per run; `setup_s` is their median.
-pub const SETUP_REPS: usize = 5;
+pub const SETUP_REPS: usize = 11;
+
+/// Share of a pass spent in the open-loop phase; the saturating phase
+/// takes the rest.
+const OPEN_SHARE: f64 = 0.75;
+
+/// Segments of a saturating phase; throughput is their median rate.
+pub const SEGMENTS: usize = 5;
+
+/// How long a saturating client sleeps while its backlog is full.
+pub const POLL: Duration = Duration::from_micros(200);
 
 /// An open-loop run is invalid when its generator sends the p99 request
 /// later than this after it was due.
 pub const LAG_BOUND: Duration = Duration::from_millis(20);
 
-const USAGE: &str = "usage: perfbench --workload host-closed|host-open|fleet-paging \
+const USAGE: &str = "usage: perfbench --workload host-open|fleet-paging \
 --seed N --seconds S --trace 0|1";
 
 /// What one run reports.
@@ -69,6 +81,12 @@ impl ShedCounts {
         m.put("serve.shed.wait_budget", self.wait_budget as f64, "count");
         m.put("serve.shed.deadline", self.deadline as f64, "count");
     }
+}
+
+/// A pass of `seconds` split into its open-loop and saturating phases.
+pub fn phases(seconds: f64) -> (Duration, Duration) {
+    let open = Duration::from_secs_f64(seconds * OPEN_SHARE);
+    (open, Duration::from_secs_f64(seconds) - open)
 }
 
 pub fn sleep_until(target: Instant) {
@@ -110,10 +128,6 @@ pub fn memory_metrics(models: &[ModelStats], completed: usize, m: &mut Metrics) 
 pub fn cluster_metrics(report: &ClusterReport, route_s: &[f64], m: &mut Metrics) {
     m.put("cluster.balance_skew", report.balance_skew(), "ratio");
     m.put_tail("cluster.route_us", route_s, 1e6, "us");
-    for replica in 0..2 {
-        let routed = report.replicas.get(replica).map_or(0, |r| r.routed);
-        m.put(format!("cluster.routed.r{replica}"), routed as f64, "count");
-    }
 }
 
 struct Args {
@@ -166,8 +180,7 @@ fn parse_args() -> Args {
 fn main() {
     let args = parse_args();
     let outcome = match args.workload.as_str() {
-        "host-closed" => host::run(host::Host::Closed, args.seed, args.seconds, args.trace),
-        "host-open" => host::run(host::Host::Open, args.seed, args.seconds, args.trace),
+        "host-open" => host::run(args.seed, args.seconds, args.trace),
         "fleet-paging" => fleet::run(args.seed, args.seconds, args.trace),
         other => fail(&format!("unknown workload {other:?}")),
     };

@@ -78,7 +78,11 @@ pub fn kernels(
         let rows = FULL_BATCH as f64;
         m.put(format!("kernel.l{layer}.flop"), 2.0 * rows * weights, "flop");
         let activations = 4 * FULL_BATCH * (tile.k() + tile.n());
-        m.put(format!("kernel.l{layer}.bytes"), (kernel.resident_bytes() + activations) as f64, "B");
+        m.put(
+            format!("kernel.l{layer}.bytes"),
+            (kernel.resident_bytes() + activations) as f64,
+            "B",
+        );
     }
     for rows in [FULL_BATCH, 1] {
         let x = Matrix::random_uniform(rows, session.input_dim(), 1.0, 99);

@@ -28,9 +28,17 @@ impl Metrics {
         self.put(format!("{name}.p99"), tail_percentile(samples, 0.99) * scale, unit);
     }
 
+    /// The value recorded under `name`, if any.
+    pub fn get(&self, name: &str) -> Option<f64> {
+        self.entries.iter().find(|(n, _, _)| n == name).map(|&(_, value, _)| value)
+    }
+
     /// One line per metric for the human reading stderr.
     pub fn table(&self) -> String {
-        self.entries.iter().map(|(name, value, unit)| format!("# {name} = {value} {unit}\n")).collect()
+        self.entries
+            .iter()
+            .map(|(name, value, unit)| format!("# {name} = {value} {unit}\n"))
+            .collect()
     }
 
     fn json(&self) -> String {
@@ -45,18 +53,19 @@ impl Metrics {
     }
 }
 
-/// What one measured pass yields for the end-to-end metrics.  Class 0 is
-/// the interactive class on the open-loop workloads and the single
-/// best-effort class on the closed loop.
+/// What one measured pass — an open-loop phase and a saturating phase —
+/// yields for the end-to-end metrics.  Class 0 is the interactive class.
 #[derive(Clone, Debug, Default)]
 pub struct Summary {
-    pub completed: usize,
-    /// Correct completions within their class SLO (best-effort
-    /// completions always count).
-    pub good: usize,
+    /// Saturating phase: median segment rate of requests taken into
+    /// service.
+    pub capacity_rps: f64,
+    /// Saturating phase: share of completions that were correct and within
+    /// their class SLO (best-effort completions always count).
+    pub good_share: f64,
+    /// Open-loop phase from here on.
     pub interactive_sent: usize,
     pub interactive_good: usize,
-    pub window_s: f64,
     pub p50_s: f64,
     pub p99_s: f64,
     pub interactive_p99_s: f64,
@@ -64,15 +73,11 @@ pub struct Summary {
 }
 
 impl Summary {
-    pub fn throughput_rps(&self) -> f64 {
-        self.completed as f64 / self.window_s
-    }
-
     /// Records the end-to-end metrics.
     pub fn end_to_end(&self, setup_s: f64, weights_bytes: usize, m: &mut Metrics) {
         m.put("setup_s", setup_s, "s");
-        m.put("throughput_rps", self.throughput_rps(), "1/s");
-        m.put("goodput_rps", self.good as f64 / self.window_s, "1/s");
+        m.put("throughput_rps", self.capacity_rps, "1/s");
+        m.put("goodput_rps", self.capacity_rps * self.good_share, "1/s");
         m.put("p50_ms", self.p50_s * 1e3, "ms");
         m.put("p99_ms", self.p99_s * 1e3, "ms");
         m.put("interactive_p99_ms", self.interactive_p99_s * 1e3, "ms");
@@ -88,7 +93,7 @@ impl Summary {
     /// Records the tracing overhead: the traced pass (`self`) against an
     /// untraced pass over the same arrivals.
     pub fn overhead_against(&self, untraced: &Summary, m: &mut Metrics) {
-        m.put("trace.overhead.throughput", 1.0 - self.throughput_rps() / untraced.throughput_rps(), "frac");
+        m.put("trace.overhead.throughput", 1.0 - self.capacity_rps / untraced.capacity_rps, "frac");
         m.put("trace.overhead.p50", self.p50_s / untraced.p50_s - 1.0, "frac");
     }
 }
@@ -123,12 +128,12 @@ mod tests {
     fn result_line_is_one_json_object_with_full_precision() {
         let mut m = Metrics::default();
         m.put("p50_ms", 1.203_456_789_012, "ms");
-        m.put("cluster.routed.r0", 12.0, "count");
+        m.put("serve.shed.deadline", 12.0, "count");
         let line = result_line(true, 10, 0, &m);
         assert_eq!(
             line,
             "{\"correct\": true, \"attempted\": 10, \"failed\": 0, \"metrics\": {\"p50_ms\": \
-             {\"value\": 1.203456789012, \"unit\": \"ms\"}, \"cluster.routed.r0\": \
+             {\"value\": 1.203456789012, \"unit\": \"ms\"}, \"serve.shed.deadline\": \
              {\"value\": 12.0, \"unit\": \"count\"}}}"
         );
     }

@@ -1,8 +1,9 @@
 //! The benchmark's metric math: tail percentiles that keep enough samples
-//! beyond them, latency measured from an arrival's due time, and the
-//! failure ledger every run's `failed` count comes from.
+//! beyond them, latency measured from an arrival's due time, the
+//! saturating phase's segment rates, and the failure ledger every run's
+//! `failed` count comes from.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A reported percentile must leave at least this many samples above it;
 /// with fewer, the benchmark reports the highest percentile that does.
@@ -27,9 +28,17 @@ pub fn tail_percentile(samples: &[f64], q: f64) -> f64 {
 }
 
 /// Median of `samples` (the lower middle for an even count); `0.0` when
-/// empty.
+/// empty.  Not a tail: the [`MIN_TAIL`] cap does not apply.
+///
+/// # Panics
+/// Panics if a sample is NaN.
 pub fn median(samples: &[f64]) -> f64 {
-    tail_percentile(samples, 0.5)
+    if samples.is_empty() {
+        return 0.0;
+    }
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("samples must not be NaN"));
+    sorted[(sorted.len() - 1) / 2]
 }
 
 /// Latency of an open-loop request timed from when it was *due*: the
@@ -38,6 +47,51 @@ pub fn median(samples: &[f64]) -> f64 {
 /// its stall to every request it delayed.
 pub fn due_latency(due: Duration, sent: Duration, server_latency: Duration) -> Duration {
     sent.saturating_sub(due) + server_latency
+}
+
+/// Service rate of a saturating phase, sampled over equal segments of its
+/// window.  The median segment rate is reported, so a short stall of a
+/// shared host moves one segment rather than the figure.
+#[derive(Debug)]
+pub struct SegmentRates {
+    started: Instant,
+    segment: Duration,
+    segments: usize,
+    /// `(seconds since start, requests taken into service)` at each
+    /// segment boundary passed, starting with `(0, 0)`.
+    marks: Vec<(f64, usize)>,
+}
+
+impl SegmentRates {
+    /// Starts the clock for `segments` segments spanning `window`.
+    pub fn new(window: Duration, segments: usize) -> Self {
+        assert!(segments > 0, "at least one segment");
+        let segment = window / segments as u32;
+        SegmentRates { started: Instant::now(), segment, segments, marks: vec![(0.0, 0)] }
+    }
+
+    /// Records `progress` (requests taken into service so far) if a segment
+    /// boundary has passed; returns whether the window is still open.
+    pub fn tick(&mut self, progress: usize) -> bool {
+        self.tick_at(self.started.elapsed(), progress)
+    }
+
+    fn tick_at(&mut self, elapsed: Duration, progress: usize) -> bool {
+        if self.marks.len() <= self.segments && elapsed >= self.segment * self.marks.len() as u32 {
+            self.marks.push((elapsed.as_secs_f64(), progress));
+        }
+        self.marks.len() <= self.segments
+    }
+
+    /// Rate of each segment recorded so far, in requests per second.  A
+    /// segment runs between the times its boundaries were actually
+    /// recorded.
+    pub fn rates(&self) -> Vec<f64> {
+        self.marks
+            .windows(2)
+            .map(|w| (w[1].1 - w[0].1) as f64 / (w[1].0 - w[0].0).max(f64::MIN_POSITIVE))
+            .collect()
+    }
 }
 
 /// Id conservation and failure accounting for one run.  A submission fails
@@ -118,8 +172,10 @@ mod tests {
         let p99 = tail_percentile(&samples, 0.99);
         assert_eq!(p99, 190.0, "rank capped at n - 10");
         assert!(samples.iter().filter(|&&s| s > p99).count() >= MIN_TAIL);
-        // The median is untouched by the cap.
+        // The median is untouched by the cap, however few the samples.
         assert_eq!(median(&samples), 100.0);
+        assert_eq!(median(&[5.0, 1.0, 3.0]), 3.0);
+        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.0, "lower middle");
         // Too few samples for any tail: fall back to the smallest.
         assert_eq!(tail_percentile(&[3.0, 1.0, 2.0], 0.99), 1.0);
         assert_eq!(tail_percentile(&[], 0.5), 0.0);
@@ -131,6 +187,23 @@ mod tests {
         assert_eq!(due_latency(ms(10), ms(13), ms(5)), ms(8), "3 ms late + 5 ms served");
         assert_eq!(due_latency(ms(10), ms(10), ms(5)), ms(5), "on time");
         assert_eq!(due_latency(ms(10), ms(9), ms(5)), ms(5), "early sends are not credited");
+    }
+
+    #[test]
+    fn segment_rates_time_each_segment_between_its_marks() {
+        let s = |secs: f64| Duration::from_secs_f64(secs);
+        let mut rates = SegmentRates::new(s(3.0), 3);
+        assert!(rates.tick_at(s(0.5), 40), "no boundary yet");
+        assert!(rates.tick_at(s(1.0), 100));
+        // A stalled second segment: a boundary is recorded late, and the
+        // segment is timed from when it was actually recorded.
+        assert!(rates.tick_at(s(2.5), 130));
+        assert!(!rates.tick_at(s(3.0), 190), "the last boundary closes the window");
+        assert_eq!(rates.rates(), [100.0, 20.0, 120.0], "100/1.0, 30/1.5, 60/0.5");
+        // The stall is not the median.
+        assert_eq!(median(&rates.rates()), 100.0);
+        assert!(!rates.tick_at(s(4.0), 500), "ticks after the window change nothing");
+        assert_eq!(rates.marks.len(), 4);
     }
 
     #[test]
