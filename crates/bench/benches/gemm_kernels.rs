@@ -1,55 +1,41 @@
-//! Criterion benchmarks of the dense GEMM substrate: reference, blocked,
-//! rayon-parallel and masked kernels, plus the functional TileWiseMatrix
-//! multiplication.
+//! Criterion benchmarks of the shared GEMM microkernel as the dense and
+//! tile-wise families run it, at the `host-open` benchmark's layer shapes:
+//! the 512-1024-512 chain at 75% tile-wise sparsity with G = 32, batches of
+//! 1 and 8 rows.  The block-sparse family's runs are in `sparse_kernels`.
+//!
+//! GFLOP/s = dense-equivalent flop (`2 * batch * k * n`) / time; the flop
+//! count is in each id.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use tilewise::TileWiseMatrix;
-use tw_pruning::{tw, ImportanceScores, SparsityTarget, TileWiseConfig};
-use tw_tensor::{gemm, gemm_blocked, gemm_par, Matrix};
+use tilewise::InferenceSession;
+use tw_tensor::{gemm, Matrix};
 
-fn bench_dense_gemm(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dense_gemm");
-    for &n in &[64usize, 128, 256] {
-        let a = Matrix::random_uniform(n, n, 1.0, 1);
-        let b = Matrix::random_uniform(n, n, 1.0, 2);
-        group.bench_with_input(BenchmarkId::new("reference", n), &n, |bench, _| {
-            bench.iter(|| black_box(gemm(&a, &b)))
-        });
-        group.bench_with_input(BenchmarkId::new("blocked_32x32", n), &n, |bench, _| {
-            bench.iter(|| black_box(gemm_blocked(&a, &b, 32, 32)))
-        });
-        group.bench_with_input(BenchmarkId::new("rayon", n), &n, |bench, _| {
-            bench.iter(|| black_box(gemm_par(&a, &b)))
-        });
+/// The `host-open` chain, its sparsity, granularity and pruning seed.
+const DIMS: [usize; 3] = [512, 1024, 512];
+const SPARSITY: f64 = 0.75;
+const GRANULARITY: usize = 32;
+const MODEL_SEED: u64 = 42;
+
+fn bench_host_open_layers(c: &mut Criterion) {
+    let mut group = c.benchmark_group("host_open_layers");
+    let tiles = InferenceSession::synthetic_tiles(&DIMS, SPARSITY, GRANULARITY, MODEL_SEED);
+    for (layer, tile) in tiles.iter().enumerate() {
+        let masked_dense = tile.to_dense();
+        for batch in [1usize, 8] {
+            let a = Matrix::random_uniform(batch, tile.k(), 1.0, 7);
+            let flop = 2 * batch * tile.k() * tile.n();
+            let id = format!("l{layer}/b{batch}/{flop}flop");
+            group.bench_with_input(BenchmarkId::new("dense", &id), &batch, |bench, _| {
+                bench.iter(|| black_box(gemm(&a, &masked_dense)))
+            });
+            group.bench_with_input(BenchmarkId::new("tile-wise", &id), &batch, |bench, _| {
+                bench.iter(|| black_box(tile.matmul(&a)))
+            });
+        }
     }
     group.finish();
 }
 
-fn bench_tilewise_matmul(c: &mut Criterion) {
-    let mut group = c.benchmark_group("tilewise_matmul");
-    let k = 256;
-    let n = 256;
-    let weights = Matrix::random_normal(k, n, 1.0, 3);
-    let scores = ImportanceScores::magnitude(&weights);
-    let a = Matrix::random_uniform(64, k, 1.0, 4);
-    for &sparsity in &[0.0f64, 0.5, 0.75, 0.9] {
-        let mask = tw::prune(
-            &scores,
-            &TileWiseConfig::with_granularity(64),
-            SparsityTarget::new(sparsity),
-        );
-        let twm = TileWiseMatrix::from_mask(&weights, &mask);
-        group.bench_with_input(
-            BenchmarkId::new("tw_sparsity", format!("{sparsity:.2}")),
-            &sparsity,
-            |bench, _| bench.iter(|| black_box(twm.matmul(&a))),
-        );
-    }
-    // Dense reference for the same shape.
-    group.bench_function("dense_reference", |bench| bench.iter(|| black_box(gemm(&a, &weights))));
-    group.finish();
-}
-
-criterion_group!(benches, bench_dense_gemm, bench_tilewise_matmul);
+criterion_group!(benches, bench_host_open_layers);
 criterion_main!(benches);

@@ -1,16 +1,23 @@
 //! Offline stand-in for `rayon`, backed by `std::thread::scope`.
 //!
-//! The workspace's hot kernels (dense GEMM, CSR SpMM, batched tile GEMM)
-//! parallelize over output rows / batch items.  This shim provides the small
-//! rayon surface they use — `par_chunks_mut(..).enumerate().for_each(..)`
-//! and `par_iter().map(..).collect()` — with *real* parallelism: work is
+//! No kernel in the workspace uses this shim any more: dense, tile-wise and
+//! block-sparse execution share one serial GEMM microkernel
+//! (`tw_tensor::gemm_strided`) that runs on the calling serving worker's
+//! thread: the worker pool already owns the cores, so a per-call fan-out to
+//! scoped OS threads only competes with the other workers for them.
+//! The crate stays, as do `tw-tensor`'s and `tw-sparse`'s dependency edges
+//! on it, because `perfbench/Cargo.lock` records those edges: dropping them
+//! rewrites that lock file, so it has to ship together with a benchmark
+//! change that refreshes it.
+//!
+//! It provides the small rayon surface —
+//! `par_chunks_mut(..).enumerate().for_each(..)` and
+//! `par_iter().map(..).collect()` — with *real* parallelism: work is
 //! striped across scoped OS threads, one stripe per available core.
 //!
 //! Thread count comes from `RAYON_NUM_THREADS` when set, otherwise
 //! [`std::thread::available_parallelism`].  On a single-core host (or for
-//! tiny inputs) everything degenerates to the serial path with zero spawns,
-//! so the kernels stay cheap when the serving worker pool already owns the
-//! cores.
+//! tiny inputs) everything degenerates to the serial path with zero spawns.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

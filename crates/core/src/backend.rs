@@ -269,7 +269,8 @@ impl KernelBackend for CsrKernel {
 }
 
 /// BlockSparse-style BSR SpMM over a block-sparse copy of the masked
-/// weights, batch-parallel through the rayon shim.
+/// weights: each stored block runs through the shared GEMM microkernel,
+/// serially on the calling worker's thread.
 #[derive(Clone, Debug)]
 pub struct BsrKernel {
     bsr: BsrMatrix,
@@ -302,7 +303,7 @@ impl KernelBackend for BsrKernel {
     }
 
     fn forward_batch(&self, inputs: &Matrix) -> Matrix {
-        spmm::dense_bsr_matmul_par(inputs, &self.bsr)
+        spmm::dense_bsr_matmul(inputs, &self.bsr)
     }
 
     fn execution(&self) -> WeightExecution {

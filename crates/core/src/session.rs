@@ -267,13 +267,11 @@ impl InferenceSession {
             self.input_dim(),
             "request payload length must match the model input dim"
         );
-        let last = self.layers.len() - 1;
-        let mut x = inputs.clone();
-        for (i, layer) in self.layers.iter().enumerate() {
+        let (first, rest) = self.layers.split_first().expect("a session has at least one layer");
+        let mut x = first.kernel.forward_batch(inputs);
+        for layer in rest {
+            relu_in_place(&mut x);
             x = layer.kernel.forward_batch(&x);
-            if i != last {
-                relu_in_place(&mut x);
-            }
         }
         x
     }
@@ -452,6 +450,34 @@ mod tests {
         assert_eq!(s.layer_backends(), vec!["tile-wise", "tile-wise"]);
         assert_eq!(s.plan_summary(), "tile-wise,tile-wise");
         assert!(s.resident_bytes() > 0);
+    }
+
+    #[test]
+    fn resident_bytes_are_pinned_at_the_benchmark_shapes() {
+        // The benchmark's `weights_mb` figures: the 512-1024-512 host model
+        // (auto binds [bsr,bsr]) and the fleet's three 192-192-96 models
+        // (pruning seeds 42, 1042, 2042), all at 75% sparsity with G = 32.
+        // Kernel rewrites must not change any family's footprint.
+        let host = InferenceSession::synthetic_tiles(&[512, 1024, 512], 0.75, 32, 42);
+        let auto = InferenceSession::with_plan(host.clone(), &[Backend::Auto; 2]);
+        assert_eq!(auto.layer_backends(), vec!["bsr", "bsr"]);
+        assert_eq!(auto.resident_bytes(), 4_198_600);
+        let fleet: Vec<Vec<TileWiseMatrix>> = (0..3)
+            .map(|i| InferenceSession::synthetic_tiles(&[192, 192, 96], 0.75, 32, 42 + 1000 * i))
+            .collect();
+        for (backend, host_bytes, fleet_bytes) in [
+            (Backend::Dense, 4_194_304, 663_552),
+            (Backend::TileWise, 1_134_336, 181_584),
+            (Backend::Csr, 2_103_304, 335_832),
+            (Backend::Bsr, 4_198_600, 664_368),
+        ] {
+            let bytes = |tiles: &[TileWiseMatrix]| {
+                InferenceSession::with_plan(tiles.to_vec(), &[backend; 2]).resident_bytes()
+            };
+            assert_eq!(bytes(&host), host_bytes, "{backend} on the host model");
+            let fleet_total: usize = fleet.iter().map(|tiles| bytes(tiles)).sum();
+            assert_eq!(fleet_total, fleet_bytes, "{backend} on the fleet models");
+        }
     }
 
     #[test]

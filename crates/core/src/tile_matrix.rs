@@ -9,11 +9,14 @@
 use tw_gpu_sim::TwTileShape;
 use tw_pruning::{TileWiseMask, TwTile};
 use tw_sparse::RowColMask;
-use tw_tensor::{gemm, Matrix};
+use tw_tensor::{gemm_strided, GemmShape, Matrix, Strided};
 
 /// One pre-processed weight tile: compacted payload plus masks.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CompactTile {
+    /// Original row indices of the tile's surviving rows: the activation
+    /// columns the kernel gathers, built once at load.
+    row_indices: Vec<usize>,
     /// Original column indices of the tile's surviving columns.
     col_indices: Vec<usize>,
     /// Keep mask over the K dimension.
@@ -70,9 +73,10 @@ impl TileWiseMatrix {
             .tiles()
             .iter()
             .map(|tile: &TwTile| {
-                let kept_rows = tile.kept_row_indices();
-                let payload = weights.select_rows(&kept_rows).select_cols(&tile.col_indices);
+                let row_indices = tile.kept_row_indices();
+                let payload = weights.select_rows(&row_indices).select_cols(&tile.col_indices);
                 CompactTile {
+                    row_indices,
                     col_indices: tile.col_indices.clone(),
                     row_keep: tile.row_keep.clone(),
                     payload,
@@ -137,13 +141,7 @@ impl TileWiseMatrix {
     pub fn to_dense(&self) -> Matrix {
         let mut out = Matrix::zeros(self.k, self.n);
         for tile in &self.tiles {
-            let kept_rows: Vec<usize> = tile
-                .row_keep
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &keep)| keep.then_some(i))
-                .collect();
-            for (pr, &r) in kept_rows.iter().enumerate() {
+            for (pr, &r) in tile.row_indices.iter().enumerate() {
                 for (pc, &c) in tile.col_indices.iter().enumerate() {
                     out.set(r, c, tile.payload.get(pr, pc));
                 }
@@ -157,29 +155,40 @@ impl TileWiseMatrix {
     ///
     /// This is the functional equivalent of the batched masked GEMM of
     /// Fig. 7: each tile contributes a small dense GEMM over its surviving
-    /// rows/columns, scattered into the output at the tile's original column
-    /// positions.
+    /// rows/columns, run by the shared microkernel and scattered into the
+    /// output at the tile's original column positions.  One scratch buffer
+    /// per call holds a tile's gathered activation columns and its output
+    /// block.
     pub fn matmul(&self, a: &Matrix) -> Matrix {
         assert_eq!(a.cols(), self.k, "activation K must match the weight matrix");
         let m = a.rows();
         let mut out = Matrix::zeros(m, self.n);
+        let mut scratch = Vec::new();
         for tile in &self.tiles {
-            if tile.kept_rows() == 0 || tile.kept_cols() == 0 {
+            let (kept_rows, kept_cols) = (tile.kept_rows(), tile.kept_cols());
+            if m == 0 || kept_rows == 0 || kept_cols == 0 {
                 continue;
             }
-            let kept_rows: Vec<usize> = tile
-                .row_keep
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &keep)| keep.then_some(i))
-                .collect();
+            let len = m * (kept_rows + kept_cols);
+            if scratch.len() < len {
+                scratch.resize(len, 0.0);
+            }
+            let (a_tile, c_tile) = scratch[..len].split_at_mut(m * kept_rows);
             // Gather the surviving activation columns (this is the step the
             // transposed layout keeps coalesced on the GPU).
-            let a_tile = a.select_cols(&kept_rows);
-            let c_tile = gemm(&a_tile, &tile.payload);
-            for r in 0..m {
-                for (pc, &c) in tile.col_indices.iter().enumerate() {
-                    out.set(r, c, out.get(r, c) + c_tile.get(r, pc));
+            for (dst, src) in a_tile.chunks_exact_mut(kept_rows).zip(a.as_slice().chunks(self.k)) {
+                for (d, &r) in dst.iter_mut().zip(&tile.row_indices) {
+                    *d = src[r];
+                }
+            }
+            c_tile.fill(0.0);
+            let shape = GemmShape::new(m, kept_cols, kept_rows);
+            let a_tile = Strided { data: a_tile, stride: kept_rows };
+            gemm_strided(shape, a_tile, Strided::of(&tile.payload), c_tile, kept_cols);
+            let rows = out.as_mut_slice().chunks_mut(self.n).zip(c_tile.chunks_exact(kept_cols));
+            for (out_row, c_row) in rows {
+                for (&j, &v) in tile.col_indices.iter().zip(c_row) {
+                    out_row[j] += v;
                 }
             }
         }
@@ -191,7 +200,7 @@ impl TileWiseMatrix {
 mod tests {
     use super::*;
     use tw_pruning::{tw, ImportanceScores, SparsityTarget, TileWiseConfig};
-    use tw_tensor::DEFAULT_TOL;
+    use tw_tensor::{gemm, DEFAULT_TOL};
 
     fn pruned_pair(seed: u64, sparsity: f64, g: usize) -> (Matrix, TileWiseMask) {
         let weights = Matrix::random_normal(96, 160, 1.0, seed);
@@ -285,14 +294,15 @@ mod proptests {
     use tw_tensor::DEFAULT_TOL;
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
+        #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The executable TW matrix is always functionally identical to the
-        /// masked dense matrix, for arbitrary shapes, granularities and
-        /// sparsities.
+        /// The executable TW matrix always matches the naive triple loop over
+        /// the masked dense weights, for every MR row remainder (m in
+        /// 1..=12), tiles narrower than NR (small G), shapes that leave a
+        /// partial last tile, and zero activation rows.
         #[test]
-        fn matmul_always_matches_masked_dense(
-            k in 8usize..48, n in 8usize..48, m in 1usize..12,
+        fn matmul_always_matches_naive_masked_dense(
+            k in 8usize..48, n in 8usize..48, m in 1usize..=12,
             g in 1usize..32, sparsity in 0.05f64..0.9, seed in any::<u64>(),
         ) {
             let weights = Matrix::random_uniform(k, n, 1.0, seed);
@@ -303,9 +313,11 @@ mod proptests {
                 SparsityTarget::new(sparsity),
             );
             let twm = TileWiseMatrix::from_mask(&weights, &mask);
-            let a = Matrix::random_uniform(m, k, 1.0, seed.wrapping_add(1));
-            let reference = gemm(&a, &mask.to_pattern_mask().apply(&weights));
-            prop_assert!(twm.matmul(&a).approx_eq(&reference, DEFAULT_TOL));
+            let noise = Matrix::random_uniform(m, k, 1.0, seed.wrapping_add(1));
+            let a = Matrix::from_fn(m, k, |i, p| if i % 3 == 1 { 0.0 } else { noise.get(i, p) });
+            let w = mask.to_pattern_mask().apply(&weights);
+            let naive = Matrix::from_fn(m, n, |i, j| (0..k).map(|p| a.get(i, p) * w.get(p, j)).sum());
+            prop_assert!(twm.matmul(&a).approx_eq(&naive, DEFAULT_TOL));
         }
     }
 }

@@ -10,8 +10,9 @@
 //!   the compressed sparse column (CSC) format").
 //! * [`BsrMatrix`] — block sparse row with square blocks, the block-wise
 //!   (BW) baseline (BlockSparse library path).
-//! * [`spmm`] — sparse x dense and dense x sparse multiplication kernels,
-//!   functionally exact and checked against dense GEMM.
+//! * [`spmm`] — dense x sparse multiplication kernels, functionally exact
+//!   and checked against dense GEMM; the BSR kernel runs each stored block
+//!   through `tw-tensor`'s shared GEMM microkernel.
 
 pub mod bsr;
 pub mod csc;

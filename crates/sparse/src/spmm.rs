@@ -12,8 +12,7 @@
 use crate::bsr::BsrMatrix;
 use crate::csc::CscMatrix;
 use crate::csr::CsrMatrix;
-use rayon::prelude::*;
-use tw_tensor::Matrix;
+use tw_tensor::{gemm_strided, GemmShape, Matrix, Strided};
 
 /// Dense x CSR: `C = A * B` where `B` is CSR.
 pub fn dense_csr_matmul(a: &Matrix, b: &CsrMatrix) -> Matrix {
@@ -35,34 +34,6 @@ pub fn dense_csr_matmul(a: &Matrix, b: &CsrMatrix) -> Matrix {
         }
     }
     c
-}
-
-/// Rayon-parallel dense x CSR.
-pub fn dense_csr_matmul_par(a: &Matrix, b: &CsrMatrix) -> Matrix {
-    assert_eq!(a.cols(), b.rows(), "inner dimension mismatch");
-    let m = a.rows();
-    let n = b.cols();
-    let mut out = vec![0.0f32; m * n];
-    out.par_chunks_mut(n).enumerate().for_each(|(i, c_row)| {
-        for (p, &aip) in a.row(i).iter().enumerate() {
-            if aip == 0.0 {
-                continue;
-            }
-            let (cols, vals) = b.row_entries(p);
-            for (&j, &v) in cols.iter().zip(vals) {
-                c_row[j] += aip * v;
-            }
-        }
-    });
-    Matrix::from_vec(m, n, out)
-}
-
-/// The serving-side batched entry point: many per-request activation
-/// matrices against one shared CSR weight, `C_i = A_i * B`, parallel over
-/// batch items.  This is the kernel shape a dynamic batcher reduces a batch
-/// of CSR-baseline inference requests to.
-pub fn dense_csr_matmul_batch(activations: &[&Matrix], b: &CsrMatrix) -> Vec<Matrix> {
-    activations.par_iter().map(|a| dense_csr_matmul(a, b)).collect()
 }
 
 /// Dense x CSC: `C = A * B` where `B` is CSC.
@@ -88,114 +59,27 @@ pub fn dense_csc_matmul(a: &Matrix, b: &CscMatrix) -> Matrix {
     c
 }
 
-/// CSR x dense: `C = B * A` where the sparse matrix is on the left.  Used for
-/// SpMV-style layers (e.g. LSTM gates with a sparse weight applied to a dense
-/// activation vector batch).
-pub fn csr_dense_matmul(b: &CsrMatrix, a: &Matrix) -> Matrix {
-    assert_eq!(b.cols(), a.rows(), "inner dimension mismatch");
-    let m = b.rows();
-    let n = a.cols();
-    let mut c = Matrix::zeros(m, n);
-    for r in 0..m {
-        let (cols, vals) = b.row_entries(r);
-        let c_row = c.row_mut(r);
-        for (&p, &v) in cols.iter().zip(vals) {
-            let a_row = a.row(p);
-            for j in 0..n {
-                c_row[j] += v * a_row[j];
-            }
-        }
-    }
-    c
-}
-
 /// Dense x BSR: `C = A * B` where `B` is block-sparse; each surviving block
 /// contributes one small dense GEMM, mirroring the BlockSparse execution.
+/// Every block runs through the shared microkernel, with `A`'s block
+/// columns and `C`'s block columns read in place at their row strides.
 pub fn dense_bsr_matmul(a: &Matrix, b: &BsrMatrix) -> Matrix {
     assert_eq!(a.cols(), b.rows(), "inner dimension mismatch");
-    let m = a.rows();
+    let (m, k) = a.shape();
     let n = b.cols();
     let bs = b.block_size();
     let mut c = Matrix::zeros(m, n);
-    for (br, bc, payload) in b.iter_blocks() {
-        let k0 = br * bs;
-        let n0 = bc * bs;
-        for i in 0..m {
-            for jj in 0..bs {
-                let j = n0 + jj;
-                if j >= n {
-                    continue;
-                }
-                let mut acc = 0.0;
-                for kk in 0..bs {
-                    let k = k0 + kk;
-                    if k >= a.cols() {
-                        continue;
-                    }
-                    acc += a.get(i, k) * payload[kk * bs + jj];
-                }
-                c[(i, j)] += acc;
-            }
-        }
+    if m == 0 {
+        return c;
     }
-    c
-}
-
-/// Rayon-parallel dense x BSR, splitting the output by activation rows.
-/// This is the kernel the BSR serving backend runs: a fused batch lives on
-/// the rows of `a`, so row-parallelism is batch-parallelism.
-pub fn dense_bsr_matmul_par(a: &Matrix, b: &BsrMatrix) -> Matrix {
-    assert_eq!(a.cols(), b.rows(), "inner dimension mismatch");
-    let m = a.rows();
-    let n = b.cols();
-    let bs = b.block_size();
-    let mut out = vec![0.0f32; m * n];
-    out.par_chunks_mut(n).enumerate().for_each(|(i, c_row)| {
-        for (br, bc, payload) in b.iter_blocks() {
-            let k0 = br * bs;
-            let n0 = bc * bs;
-            for jj in 0..bs {
-                let j = n0 + jj;
-                if j >= n {
-                    continue;
-                }
-                let mut acc = 0.0;
-                for kk in 0..bs {
-                    let k = k0 + kk;
-                    if k >= a.cols() {
-                        continue;
-                    }
-                    acc += a.get(i, k) * payload[kk * bs + jj];
-                }
-                c_row[j] += acc;
-            }
-        }
-    });
-    Matrix::from_vec(m, n, out)
-}
-
-/// Library-level batched BSR entry point: many per-request activation
-/// matrices against one shared block-sparse weight, `C_i = A_i * B`,
-/// parallel over batch items — the BlockSparse-baseline mirror of
-/// [`dense_csr_matmul_batch`], for callers that keep requests as separate
-/// matrices.  (The serving session instead fuses a batch into one
-/// activation matrix and runs [`dense_bsr_matmul_par`] once.)
-pub fn dense_bsr_matmul_batch(activations: &[&Matrix], b: &BsrMatrix) -> Vec<Matrix> {
-    activations.par_iter().map(|a| dense_bsr_matmul(a, b)).collect()
-}
-
-/// Sparse-times-sparse sanity kernel (CSR x CSR), used only in tests and
-/// analysis; returns a dense result.
-pub fn csr_csr_matmul(a: &CsrMatrix, b: &CsrMatrix) -> Matrix {
-    assert_eq!(a.cols(), b.rows(), "inner dimension mismatch");
-    let m = a.rows();
-    let n = b.cols();
-    let mut c = Matrix::zeros(m, n);
-    for (i, p, av) in a.iter() {
-        let (cols, vals) = b.row_entries(p);
-        for (&j, &bv) in cols.iter().zip(vals) {
-            c[(i, j)] += av * bv;
-        }
+    for (br, bc, payload) in b.iter_blocks() {
+        let (k0, n0) = (br * bs, bc * bs);
+        // Edge blocks are zero-padded to `bs x bs`; only their in-bounds
+        // corner takes part.
+        let shape = GemmShape::new(m, bs.min(n - n0), bs.min(k - k0));
+        let a_cols = Strided { data: &a.as_slice()[k0..], stride: k };
+        let block = Strided { data: payload, stride: bs };
+        gemm_strided(shape, a_cols, block, &mut c.as_mut_slice()[n0..], n);
     }
     c
 }
@@ -224,7 +108,6 @@ mod tests {
         let b = CsrMatrix::from_dense(&b_dense);
         let reference = gemm(&a, &b_dense);
         assert!(dense_csr_matmul(&a, &b).approx_eq(&reference, DEFAULT_TOL));
-        assert!(dense_csr_matmul_par(&a, &b).approx_eq(&reference, DEFAULT_TOL));
     }
 
     #[test]
@@ -233,14 +116,6 @@ mod tests {
         let b_dense = random_sparse(10, 8, 0.25, 4);
         let b = CscMatrix::from_dense(&b_dense);
         assert!(dense_csc_matmul(&a, &b).approx_eq(&gemm(&a, &b_dense), DEFAULT_TOL));
-    }
-
-    #[test]
-    fn csr_dense_matches_dense_gemm() {
-        let b_dense = random_sparse(12, 9, 0.4, 5);
-        let b = CsrMatrix::from_dense(&b_dense);
-        let a = Matrix::random_uniform(9, 6, 1.0, 6);
-        assert!(csr_dense_matmul(&b, &a).approx_eq(&gemm(&b_dense, &a), DEFAULT_TOL));
     }
 
     #[test]
@@ -254,38 +129,6 @@ mod tests {
                 "block size {bs}"
             );
         }
-    }
-
-    #[test]
-    fn batched_dense_bsr_matches_individual() {
-        let b_dense = random_sparse(12, 10, 0.35, 21);
-        let b = BsrMatrix::from_dense(&b_dense, 4);
-        let a1 = Matrix::random_uniform(3, 12, 1.0, 22);
-        let a2 = Matrix::random_uniform(7, 12, 1.0, 23);
-        let outs = dense_bsr_matmul_batch(&[&a1, &a2], &b);
-        assert_eq!(outs.len(), 2);
-        assert!(outs[0].approx_eq(&gemm(&a1, &b_dense), DEFAULT_TOL));
-        assert!(outs[1].approx_eq(&gemm(&a2, &b_dense), DEFAULT_TOL));
-    }
-
-    #[test]
-    fn csr_csr_matches_dense_gemm() {
-        let a_dense = random_sparse(6, 8, 0.5, 9);
-        let b_dense = random_sparse(8, 7, 0.5, 10);
-        let c = csr_csr_matmul(&CsrMatrix::from_dense(&a_dense), &CsrMatrix::from_dense(&b_dense));
-        assert!(c.approx_eq(&gemm(&a_dense, &b_dense), DEFAULT_TOL));
-    }
-
-    #[test]
-    fn batched_dense_csr_matches_individual() {
-        let b_dense = random_sparse(10, 8, 0.3, 12);
-        let b = CsrMatrix::from_dense(&b_dense);
-        let a1 = Matrix::random_uniform(3, 10, 1.0, 13);
-        let a2 = Matrix::random_uniform(6, 10, 1.0, 14);
-        let outs = dense_csr_matmul_batch(&[&a1, &a2], &b);
-        assert_eq!(outs.len(), 2);
-        assert!(outs[0].approx_eq(&gemm(&a1, &b_dense), DEFAULT_TOL));
-        assert!(outs[1].approx_eq(&gemm(&a2, &b_dense), DEFAULT_TOL));
     }
 
     #[test]
@@ -347,10 +190,31 @@ mod proptests {
             let csc = CscMatrix::from_dense(&case.b);
             let bsr = BsrMatrix::from_dense(&case.b, bs);
             prop_assert!(dense_csr_matmul(&case.a, &csr).approx_eq(&reference, DEFAULT_TOL));
-            prop_assert!(dense_csr_matmul_par(&case.a, &csr).approx_eq(&reference, DEFAULT_TOL));
             prop_assert!(dense_csc_matmul(&case.a, &csc).approx_eq(&reference, DEFAULT_TOL));
             prop_assert!(dense_bsr_matmul(&case.a, &bsr).approx_eq(&reference, DEFAULT_TOL));
-            prop_assert!(dense_bsr_matmul_par(&case.a, &bsr).approx_eq(&reference, DEFAULT_TOL));
+        }
+
+        /// BSR through the shared microkernel matches the naive triple loop
+        /// for every MR row remainder, block sizes up to the serving 32,
+        /// `k`/`n` that leave partial edge blocks, zero activation rows and
+        /// zero weight rows inside stored blocks.
+        #[test]
+        fn bsr_matches_naive_reference(
+            m in 1usize..=12, k in 1usize..=70, n in 1usize..=70,
+            bs_pick in 0usize..6, seed in any::<u64>(),
+        ) {
+            use rand::{Rng, SeedableRng};
+            let bs = [1, 3, 5, 8, 13, 32][bs_pick];
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let a = Matrix::from_fn(m, k, |i, _| {
+                if i % 4 == 2 { 0.0 } else { rng.gen_range(-1.0..1.0) }
+            });
+            let b = Matrix::from_fn(k, n, |p, _| {
+                if p % 3 == 1 || rng.gen_bool(0.3) { 0.0 } else { rng.gen_range(-1.0..1.0) }
+            });
+            let naive = Matrix::from_fn(m, n, |i, j| (0..k).map(|p| a.get(i, p) * b.get(p, j)).sum());
+            let bsr = BsrMatrix::from_dense(&b, bs);
+            prop_assert!(dense_bsr_matmul(&a, &bsr).approx_eq(&naive, DEFAULT_TOL));
         }
     }
 }

@@ -1,22 +1,45 @@
-//! Dense GEMM kernels.
+//! Dense GEMM and the one register-blocked microkernel every GEMM-shaped
+//! kernel family runs.
 //!
 //! The paper's entire premise is that commodity accelerators execute *tiled
-//! dense GEMM*.  This module provides functionally exact CPU implementations
-//! of the kernels the rest of the workspace relies on:
+//! dense GEMM*: a tile-wise-pruned layer runs as one small dense GEMM per
+//! tile, a block-sparse layer as one per stored block.  This module is that
+//! shared inner kernel on the CPU:
 //!
-//! * [`gemm`] — reference triple loop (ikj order, cache friendly for
-//!   row-major operands).
-//! * [`gemm_blocked`] — the tiled formulation mirroring Fig. 4 ①: the output
-//!   is computed tile by tile, each tile touching `Ty` rows of `A` and `G`
-//!   columns of `B`.
-//! * [`gemm_par`] — rayon-parallel over output row blocks, standing in for
-//!   the many-SM parallel execution.
-//! * [`gemm_masked`] — GEMM that skips pruned rows/columns of `B` according
-//!   to `mask_k` / `mask_n`, i.e. the `StreamMaskedGEMM` kernel of Listing 1.
-//! * [`batched_gemm`] — the batched formulation used after tile re-packing.
+//! * [`gemm_strided`] — `C += A · B` over row-major operands read in place
+//!   at a stride ([`Strided`]).  It walks `C` in `MR x NR` register blocks
+//!   (the packed-panel microkernel idiom of Goto & van de Geijn, TOMS 2008,
+//!   without the packing): each block's accumulators live in locals across
+//!   a band of the reduction, partial rows and columns take an edge path,
+//!   and a reduction step whose `A` coefficients are all zero is skipped.
+//!   It runs serially on the calling thread; a serving worker pool owns the
+//!   cores.
+//! * [`gemm`] — `C = A · B` on whole matrices, i.e. [`gemm_strided`] over
+//!   column panels of `B`.
+//!
+//! The block-sparse (`tw_sparse::spmm::dense_bsr_matmul`) and tile-wise
+//! (`tilewise::TileWiseMatrix::matmul`) kernels call [`gemm_strided`] once
+//! per stored block or tile.
 
 use crate::matrix::Matrix;
-use rayon::prelude::*;
+
+/// Rows of `C` one microkernel call keeps in registers.
+const MR: usize = 4;
+
+/// Columns of `C` one microkernel call accumulates: four 4-lane vectors per
+/// row at the default x86-64 target.  Of 4x8, 4x16, 4x32, 2x16, 3x16, 6x8
+/// and 8x8 blocks, 4x16 ran the 512x1024 host-open layers fastest overall
+/// on a 2-core x86-64 host: as fast as 4x32 on block-sparse batches of 8,
+/// with less padding waste on tile-wise tiles narrower than 32 columns.
+const NR: usize = 16;
+
+/// Rows of `B` one pass over its column panels covers.  A wide `B` read in
+/// place has its rows a page or more apart; walking all panels of a short
+/// band of rows before moving down keeps those rows' cache lines hot and
+/// their accesses sequential within each page (dense 512x1024 at batch 8
+/// on a 2-core x86-64 host: 564 -> 375 us against no banding; KC from 16
+/// to 256 measured, 32-128 best).
+const KC: usize = 64;
 
 /// Shape of a GEMM `C(MxN) = A(MxK) * B(KxN)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -47,165 +70,125 @@ impl GemmShape {
     }
 }
 
-/// Reference GEMM: `C = A * B`.
+/// A row-major operand read in place: element `(i, j)` is
+/// `data[i * stride + j]`.  A window of a larger matrix is an offset slice
+/// plus the parent's row length, so no kernel copies its weights.
+#[derive(Clone, Copy, Debug)]
+pub struct Strided<'a> {
+    /// The operand's elements, starting at element `(0, 0)`.
+    pub data: &'a [f32],
+    /// Distance between consecutive rows, in elements.
+    pub stride: usize,
+}
+
+impl<'a> Strided<'a> {
+    /// The whole of `m`.
+    pub fn of(m: &'a Matrix) -> Self {
+        Self { data: m.as_slice(), stride: m.cols() }
+    }
+}
+
+/// `C += A · B` for `A (m x k)`, `B (k x n)` and `C (m x n)`, all row-major;
+/// `C`'s rows are `ldc` elements apart.
+///
+/// # Panics
+/// Panics if an operand's slice is too short for its shape and stride.
+pub fn gemm_strided(shape: GemmShape, a: Strided<'_>, b: Strided<'_>, c: &mut [f32], ldc: usize) {
+    let GemmShape { m, n, k } = shape;
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    assert!(a.stride >= k && b.stride >= n && ldc >= n, "a row stride is shorter than its row");
+    assert!(a.data.len() >= (m - 1) * a.stride + k, "A is too short for its shape");
+    assert!(b.data.len() >= (k - 1) * b.stride + n, "B is too short for its shape");
+    assert!(c.len() >= (m - 1) * ldc + n, "C is too short for its shape");
+    for p0 in (0..k).step_by(KC) {
+        let kc = KC.min(k - p0);
+        for j0 in (0..n).step_by(NR) {
+            let b_panel = Strided { data: &b.data[p0 * b.stride + j0..], stride: b.stride };
+            let nr = NR.min(n - j0);
+            let mut i0 = 0;
+            while i0 < m {
+                let a_panel = Strided { data: &a.data[i0 * a.stride + p0..], stride: a.stride };
+                let c_panel = &mut c[i0 * ldc + j0..];
+                i0 += match m - i0 {
+                    1 => microkernel::<1>(kc, a_panel, b_panel, c_panel, ldc, nr),
+                    2 => microkernel::<2>(kc, a_panel, b_panel, c_panel, ldc, nr),
+                    3 => microkernel::<3>(kc, a_panel, b_panel, c_panel, ldc, nr),
+                    _ => microkernel::<MR>(kc, a_panel, b_panel, c_panel, ldc, nr),
+                };
+            }
+        }
+    }
+}
+
+/// `C[R x nr] += A[R x k] · B[k x nr]` with the `R x NR` accumulators in
+/// locals; returns `R`.  The edge path for `nr < NR` columns zero-pads each
+/// `B` row it loads, so both paths share one multiply loop.
+#[inline(always)]
+fn microkernel<const R: usize>(
+    k: usize,
+    a: Strided<'_>,
+    b: Strided<'_>,
+    c: &mut [f32],
+    ldc: usize,
+    nr: usize,
+) -> usize {
+    let a_rows: [&[f32]; R] = std::array::from_fn(|i| &a.data[i * a.stride..][..k]);
+    let b_rows = b.data.chunks(b.stride);
+    let acc = if nr == NR {
+        accumulate(k, &a_rows, b_rows, |row| row[..NR].try_into().expect("NR wide"))
+    } else {
+        accumulate(k, &a_rows, b_rows, |row| {
+            let mut padded = [0.0; NR];
+            padded[..nr].copy_from_slice(&row[..nr]);
+            padded
+        })
+    };
+    for (i, acc_row) in acc.iter().enumerate() {
+        for (c_ij, &v) in c[i * ldc..][..nr].iter_mut().zip(acc_row) {
+            *c_ij += v;
+        }
+    }
+    R
+}
+
+/// The register-resident reduction: `acc[i] += A[i, p] * B[p, ..]` over
+/// the first `k` rows `p` of `B`, skipping any `p` whose `R` coefficients
+/// are all zero; `load` turns a row of `B` into `NR` lanes.
+#[inline(always)]
+fn accumulate<'b, const R: usize>(
+    k: usize,
+    a_rows: &[&[f32]; R],
+    b_rows: impl Iterator<Item = &'b [f32]>,
+    load: impl Fn(&[f32]) -> [f32; NR],
+) -> [[f32; NR]; R] {
+    let mut acc = [[0.0f32; NR]; R];
+    for (p, b_row) in (0..k).zip(b_rows) {
+        let coef: [f32; R] = std::array::from_fn(|i| a_rows[i][p]);
+        if coef.iter().all(|&x| x == 0.0) {
+            continue;
+        }
+        let row = load(b_row);
+        for (acc_row, &x) in acc.iter_mut().zip(&coef) {
+            for (acc_ij, &y) in acc_row.iter_mut().zip(&row) {
+                *acc_ij += x * y;
+            }
+        }
+    }
+    acc
+}
+
+/// `C = A · B`.
 ///
 /// # Panics
 /// Panics if the inner dimensions do not agree.
 pub fn gemm(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.cols(), b.rows(), "GEMM inner dimension mismatch");
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let mut c = Matrix::zeros(m, n);
-    for i in 0..m {
-        for p in 0..k {
-            let aip = a.get(i, p);
-            if aip == 0.0 {
-                continue;
-            }
-            let b_row = b.row(p);
-            let c_row = c.row_mut(i);
-            for j in 0..n {
-                c_row[j] += aip * b_row[j];
-            }
-        }
-    }
+    let shape = GemmShape::new(a.rows(), b.cols(), a.cols());
+    let mut c = Matrix::zeros(shape.m, shape.n);
+    gemm_strided(shape, Strided::of(a), Strided::of(b), c.as_mut_slice(), shape.n);
     c
-}
-
-/// GEMM accumulating into an existing output: `C += A * B`.
-pub fn gemm_acc(a: &Matrix, b: &Matrix, c: &mut Matrix) {
-    assert_eq!(a.cols(), b.rows(), "GEMM inner dimension mismatch");
-    assert_eq!(c.shape(), (a.rows(), b.cols()), "GEMM output shape mismatch");
-    let (m, k) = a.shape();
-    let n = b.cols();
-    for i in 0..m {
-        for p in 0..k {
-            let aip = a.get(i, p);
-            if aip == 0.0 {
-                continue;
-            }
-            let b_row = b.row(p);
-            let c_row = c.row_mut(i);
-            for j in 0..n {
-                c_row[j] += aip * b_row[j];
-            }
-        }
-    }
-}
-
-/// Tiled GEMM with output tiles of `ty x g` (Fig. 4 ①).
-///
-/// Functionally identical to [`gemm`]; the tiling only changes the loop
-/// structure, which is exactly the property the tile-wise pattern exploits.
-pub fn gemm_blocked(a: &Matrix, b: &Matrix, ty: usize, g: usize) -> Matrix {
-    assert_eq!(a.cols(), b.rows(), "GEMM inner dimension mismatch");
-    assert!(ty > 0 && g > 0, "tile sizes must be positive");
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let mut c = Matrix::zeros(m, n);
-    for i0 in (0..m).step_by(ty) {
-        let i1 = (i0 + ty).min(m);
-        for j0 in (0..n).step_by(g) {
-            let j1 = (j0 + g).min(n);
-            // One output tile: rows [i0, i1) x cols [j0, j1).
-            for i in i0..i1 {
-                for p in 0..k {
-                    let aip = a.get(i, p);
-                    if aip == 0.0 {
-                        continue;
-                    }
-                    for j in j0..j1 {
-                        c[(i, j)] += aip * b.get(p, j);
-                    }
-                }
-            }
-        }
-    }
-    c
-}
-
-/// Rayon-parallel GEMM, splitting the output by rows across the thread pool.
-pub fn gemm_par(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(a.cols(), b.rows(), "GEMM inner dimension mismatch");
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let mut out = vec![0.0f32; m * n];
-    out.par_chunks_mut(n).enumerate().for_each(|(i, c_row)| {
-        for p in 0..k {
-            let aip = a.get(i, p);
-            if aip == 0.0 {
-                continue;
-            }
-            let b_row = b.row(p);
-            for j in 0..n {
-                c_row[j] += aip * b_row[j];
-            }
-        }
-    });
-    Matrix::from_vec(m, n, out)
-}
-
-/// Masked GEMM over one weight tile (Listing 1's `StreamMaskedGEMM`).
-///
-/// `mask_k[p]` is false when row `p` of `B` has been pruned (so the
-/// corresponding column of `A` is skipped), and `mask_n[j]` is false when
-/// column `j` of `B` has been pruned (so column `j` of `C` is left zero).
-///
-/// `b` is supplied *pre-compacted*: it contains only the kept rows/columns,
-/// in their original relative order, exactly as the paper stores `B_tile`
-/// after the offline pre-processing step.
-pub fn gemm_masked(a: &Matrix, b_compact: &Matrix, mask_k: &[bool], mask_n: &[bool]) -> Matrix {
-    let kept_k: Vec<usize> =
-        mask_k.iter().enumerate().filter_map(|(i, &keep)| keep.then_some(i)).collect();
-    let kept_n: Vec<usize> =
-        mask_n.iter().enumerate().filter_map(|(j, &keep)| keep.then_some(j)).collect();
-    assert_eq!(a.cols(), mask_k.len(), "mask_k length must match K");
-    assert_eq!(
-        b_compact.shape(),
-        (kept_k.len(), kept_n.len()),
-        "compacted B shape must match mask survivor counts"
-    );
-    let m = a.rows();
-    let n = mask_n.len();
-    let mut c = Matrix::zeros(m, n);
-    for i in 0..m {
-        for (bp, &p) in kept_k.iter().enumerate() {
-            let aip = a.get(i, p);
-            if aip == 0.0 {
-                continue;
-            }
-            let b_row = b_compact.row(bp);
-            for (bj, &j) in kept_n.iter().enumerate() {
-                c[(i, j)] += aip * b_row[bj];
-            }
-        }
-    }
-    c
-}
-
-/// Batched GEMM: `C_i = A * B_i` for every `B_i` in the batch, the execution
-/// form the paper's batching optimisation (Fig. 7 ③) reduces to.
-///
-/// All `B_i` must share the same number of rows (`A.cols()`); their column
-/// counts may differ (non-uniform tiles), in which case each output matches
-/// its own `B_i`.
-pub fn batched_gemm(a: &Matrix, bs: &[&Matrix]) -> Vec<Matrix> {
-    bs.iter().map(|b| gemm(a, b)).collect()
-}
-
-/// Rayon-parallel batched GEMM.
-pub fn batched_gemm_par(a: &Matrix, bs: &[&Matrix]) -> Vec<Matrix> {
-    bs.par_iter().map(|b| gemm(a, b)).collect()
-}
-
-/// The serving-side batched entry point: many activation matrices against
-/// one shared weight matrix, `C_i = A_i * B`, parallel over batch items.
-///
-/// This is the dual of [`batched_gemm_par`]: in a serving batch every
-/// request brings its own activations while the (pruned) weights are shared,
-/// so the batch axis lives on `A`.
-pub fn gemm_many(activations: &[&Matrix], b: &Matrix) -> Vec<Matrix> {
-    activations.par_iter().map(|a| gemm(a, b)).collect()
 }
 
 #[cfg(test)]
@@ -243,104 +226,47 @@ mod tests {
     }
 
     #[test]
-    fn gemm_acc_accumulates() {
-        let a = small_a();
-        let b = small_b();
-        let mut c = gemm(&a, &b);
-        gemm_acc(&a, &b, &mut c);
-        let doubled = {
-            let mut d = gemm(&a, &b);
-            d.scale(2.0);
-            d
-        };
-        assert!(c.approx_eq(&doubled, DEFAULT_TOL));
+    fn gemm_of_empty_shapes_is_zero_sized() {
+        assert_eq!(gemm(&Matrix::zeros(0, 4), &Matrix::zeros(4, 3)).shape(), (0, 3));
+        assert_eq!(gemm(&Matrix::zeros(2, 0), &Matrix::zeros(0, 3)), Matrix::zeros(2, 3));
     }
 
     #[test]
-    fn blocked_matches_reference() {
-        let a = Matrix::random_uniform(33, 47, 1.0, 2);
-        let b = Matrix::random_uniform(47, 29, 1.0, 3);
-        let reference = gemm(&a, &b);
-        for (ty, g) in [(8, 8), (16, 32), (33, 29), (5, 7)] {
-            let c = gemm_blocked(&a, &b, ty, g);
-            assert!(c.approx_eq(&reference, DEFAULT_TOL), "tile {ty}x{g}");
-        }
-    }
-
-    #[test]
-    fn parallel_matches_reference() {
-        let a = Matrix::random_uniform(40, 64, 1.0, 4);
-        let b = Matrix::random_uniform(64, 24, 1.0, 5);
-        assert!(gemm_par(&a, &b).approx_eq(&gemm(&a, &b), DEFAULT_TOL));
-    }
-
-    #[test]
-    fn masked_gemm_equals_zeroed_dense() {
-        let k = 12;
-        let n = 10;
-        let a = Matrix::random_uniform(7, k, 1.0, 6);
-        let b = Matrix::random_uniform(k, n, 1.0, 7);
-        let mask_k: Vec<bool> = (0..k).map(|i| i % 3 != 0).collect();
-        let mask_n: Vec<bool> = (0..n).map(|j| j != 2 && j != 7).collect();
-
-        // Dense reference: zero the pruned rows/cols of B.
-        let mut b_zeroed = b.clone();
-        for (p, &keep) in mask_k.iter().enumerate() {
-            if !keep {
-                for j in 0..n {
-                    b_zeroed.set(p, j, 0.0);
-                }
+    fn strided_windows_accumulate_in_place() {
+        // C[1..3, 2..5] += A[0..2, 1..4] · B[2..5, 0..3], each operand a
+        // window of a larger matrix read at its parent's stride.
+        let a = Matrix::random_uniform(3, 6, 1.0, 2);
+        let b = Matrix::random_uniform(7, 5, 1.0, 3);
+        let mut c = Matrix::filled(4, 9, 1.0);
+        let (ldc, lda, ldb) = (c.cols(), a.cols(), b.cols());
+        gemm_strided(
+            GemmShape::new(2, 3, 3),
+            Strided { data: &a.as_slice()[1..], stride: lda },
+            Strided { data: &b.as_slice()[2 * ldb..], stride: ldb },
+            &mut c.as_mut_slice()[ldc + 2..],
+            ldc,
+        );
+        let window = gemm(&a.submatrix(0, 2, 1, 4), &b.submatrix(2, 5, 0, 3));
+        for i in 0..4 {
+            for j in 0..9 {
+                let inside = (1..3).contains(&i) && (2..5).contains(&j);
+                let expected = if inside { 1.0 + window.get(i - 1, j - 2) } else { 1.0 };
+                assert!((c.get(i, j) - expected).abs() < DEFAULT_TOL, "({i}, {j})");
             }
         }
-        for (j, &keep) in mask_n.iter().enumerate() {
-            if !keep {
-                for p in 0..k {
-                    b_zeroed.set(p, j, 0.0);
-                }
-            }
-        }
-        let reference = gemm(&a, &b_zeroed);
-
-        // Compacted B: only kept rows and cols.
-        let kept_rows: Vec<usize> = (0..k).filter(|&p| mask_k[p]).collect();
-        let kept_cols: Vec<usize> = (0..n).filter(|&j| mask_n[j]).collect();
-        let b_compact = b.select_rows(&kept_rows).select_cols(&kept_cols);
-        let c = gemm_masked(&a, &b_compact, &mask_k, &mask_n);
-        assert!(c.approx_eq(&reference, DEFAULT_TOL));
     }
 
     #[test]
-    fn masked_gemm_all_pruned_is_zero() {
-        let a = Matrix::random_uniform(3, 4, 1.0, 8);
-        let b_compact = Matrix::zeros(0, 0);
-        let c = gemm_masked(&a, &b_compact, &[false; 4], &[false; 5]);
-        assert_eq!(c.shape(), (3, 5));
-        assert_eq!(c.count_zeros(), 15);
-    }
-
-    #[test]
-    fn gemm_many_matches_individual() {
-        let b = Matrix::random_uniform(16, 8, 1.0, 12);
-        let a1 = Matrix::random_uniform(4, 16, 1.0, 13);
-        let a2 = Matrix::random_uniform(9, 16, 1.0, 14);
-        let outs = gemm_many(&[&a1, &a2], &b);
-        assert_eq!(outs.len(), 2);
-        assert!(outs[0].approx_eq(&gemm(&a1, &b), DEFAULT_TOL));
-        assert!(outs[1].approx_eq(&gemm(&a2, &b), DEFAULT_TOL));
-    }
-
-    #[test]
-    fn batched_matches_individual() {
-        let a = Matrix::random_uniform(9, 16, 1.0, 9);
-        let b1 = Matrix::random_uniform(16, 8, 1.0, 10);
-        let b2 = Matrix::random_uniform(16, 5, 1.0, 11);
-        let outs = batched_gemm(&a, &[&b1, &b2]);
-        assert_eq!(outs.len(), 2);
-        assert!(outs[0].approx_eq(&gemm(&a, &b1), DEFAULT_TOL));
-        assert!(outs[1].approx_eq(&gemm(&a, &b2), DEFAULT_TOL));
-        let outs_par = batched_gemm_par(&a, &[&b1, &b2]);
-        assert!(outs_par[0].approx_eq(&outs[0], DEFAULT_TOL));
-        assert!(outs_par[1].approx_eq(&outs[1], DEFAULT_TOL));
+    #[should_panic(expected = "B is too short")]
+    fn strided_rejects_short_operands() {
+        let mut c = vec![0.0; 4];
+        gemm_strided(
+            GemmShape::new(2, 2, 3),
+            Strided { data: &[0.0; 6], stride: 3 },
+            Strided { data: &[0.0; 5], stride: 2 },
+            &mut c,
+            2,
+        );
     }
 
     #[test]
@@ -357,32 +283,53 @@ mod proptests {
     use crate::DEFAULT_TOL;
     use proptest::prelude::*;
 
-    fn arb_matrix(max_dim: usize) -> impl Strategy<Value = Matrix> {
-        (1..=max_dim, 1..=max_dim, any::<u64>())
-            .prop_map(|(r, c, seed)| Matrix::random_uniform(r, c, 1.0, seed))
+    /// The textbook triple loop `C = A · B`, the reference every kernel is
+    /// pinned against.
+    fn naive(a: &Matrix, b: &Matrix) -> Matrix {
+        Matrix::from_fn(a.rows(), b.cols(), |i, j| {
+            (0..a.cols()).map(|p| a.get(i, p) * b.get(p, j)).sum()
+        })
+    }
+
+    /// A random matrix with roughly `zeros` of its entries zeroed (whole
+    /// rows now and then), like post-ReLU activations or pruned weights.
+    fn with_zeros(rows: usize, cols: usize, zeros: f64, seed: u64) -> Matrix {
+        let noise = Matrix::random_uniform(rows, cols, 1.0, seed ^ 0x5eed);
+        let values = Matrix::random_uniform(rows, cols, 1.0, seed);
+        Matrix::from_fn(rows, cols, |i, j| {
+            let zero_row = i % 5 == 3;
+            if zero_row || f64::from(noise.get(i, j).abs()) < zeros {
+                0.0
+            } else {
+                values.get(i, j)
+            }
+        })
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Blocked and parallel GEMM agree with the reference for arbitrary
-        /// shapes and tile sizes.
+        /// `gemm` through the microkernel matches the naive reference for
+        /// every MR row remainder (m in 1..=12), column counts that are not
+        /// NR multiples, reductions that end inside a KC band, and operands
+        /// with zero entries and zero rows.
         #[test]
-        fn gemm_variants_agree(
-            m in 1usize..24, n in 1usize..24, k in 1usize..24,
-            ty in 1usize..16, g in 1usize..16, seed in any::<u64>(),
+        fn microkernel_matches_naive(
+            m in 1usize..=12, n in 1usize..=40, k in 1usize..=150,
+            zeros in 0.0f64..0.8, seed in any::<u64>(),
         ) {
-            let a = Matrix::random_uniform(m, k, 1.0, seed);
-            let b = Matrix::random_uniform(k, n, 1.0, seed.wrapping_add(1));
-            let reference = gemm(&a, &b);
-            prop_assert!(gemm_blocked(&a, &b, ty, g).approx_eq(&reference, DEFAULT_TOL));
-            prop_assert!(gemm_par(&a, &b).approx_eq(&reference, DEFAULT_TOL));
+            let a = with_zeros(m, k, zeros, seed);
+            let b = with_zeros(k, n, zeros, seed.wrapping_add(1));
+            prop_assert!(gemm(&a, &b).approx_eq(&naive(&a, &b), DEFAULT_TOL));
         }
 
         /// (A * B)^T == B^T * A^T
         #[test]
-        fn gemm_transpose_identity(a in arb_matrix(16), b_cols in 1usize..16, seed in any::<u64>()) {
-            let b = Matrix::random_uniform(a.cols(), b_cols, 1.0, seed);
+        fn gemm_transpose_identity(
+            m in 1usize..16, k in 1usize..16, n in 1usize..16, seed in any::<u64>(),
+        ) {
+            let a = Matrix::random_uniform(m, k, 1.0, seed);
+            let b = Matrix::random_uniform(k, n, 1.0, seed.wrapping_add(1));
             let left = gemm(&a, &b).transpose();
             let right = gemm(&b.transpose(), &a.transpose());
             prop_assert!(left.approx_eq(&right, DEFAULT_TOL));

@@ -5,13 +5,12 @@
 //!
 //! * [`Matrix`] — a row-major `f32` matrix with the small set of operations
 //!   the paper's workloads need (GEMM, transpose, masking, norms).
-//! * [`mod@gemm`] — reference, blocked and rayon-parallel GEMM kernels plus the
-//!   masked variants used by the tile-wise execution path.
+//! * [`mod@gemm`] — the register-blocked GEMM microkernel ([`gemm_strided`])
+//!   that dense, block-sparse and tile-wise execution all run, and dense
+//!   [`gemm()`] on top of it.
 //! * [`mod@im2col`] — the convolution-to-GEMM lowering used for VGG-16, exactly
 //!   as the paper does ("the convolutional layer can be converted to GEMM
 //!   through the img2col transformation").
-//! * [`quant`] — software fp16 round-tripping, standing in for tensor-core
-//!   half-precision storage.
 //! * [`batch`] — the stacking convention serving batchers use to fuse
 //!   per-request payloads into one activation matrix and back.
 //!
@@ -22,14 +21,11 @@ pub mod batch;
 pub mod gemm;
 pub mod im2col;
 pub mod matrix;
-pub mod quant;
-pub mod view;
 
 pub use batch::{stack_payloads, stack_rows, unstack_rows};
-pub use gemm::{gemm, gemm_blocked, gemm_masked, gemm_par, GemmShape};
+pub use gemm::{gemm, gemm_strided, GemmShape, Strided};
 pub use im2col::{im2col, ConvShape};
 pub use matrix::Matrix;
-pub use view::MatrixView;
 
 /// Tolerance used throughout the workspace when comparing f32 matrices that
 /// were produced by different (but mathematically equivalent) kernels.
