@@ -44,11 +44,8 @@ use tw_bench::{csv_header, csv_row, fmt, json, report};
 use tw_cluster::{AutoscalerConfig, BalancerKind, Cluster, ClusterConfig, ReplicaSpec};
 use tw_gpu_sim::GpuDevice;
 use tw_memory::{ModelRegistry, PolicyKind};
-use tw_models::{RequestGenerator, TrafficSpec};
-use tw_serve::{
-    serve_closed_loop, serve_closed_loop_models, serve_open_loop, serve_open_loop_models,
-    AdmissionConfig, GpuDwell, MemoryConfig, ServeConfig,
-};
+use tw_models::{closed_loop, Arrival, RequestGenerator, TrafficSpec};
+use tw_serve::{drive, AdmissionConfig, GpuDwell, MemoryConfig, ServeConfig, Server};
 
 const USAGE: &str = "usage: serving [--requests N] [--batch N] [--wait-ms MS] \
 [--workers A,B,..] [--dims D0,D1,..] [--sparsity F] [--granularity N] \
@@ -465,7 +462,7 @@ fn run_cluster(
             });
         }
         let mut cluster = Cluster::start_models(model_tiles.to_vec(), specs.clone(), config);
-        cluster.replay_assigned(&schedule, &assignment);
+        cluster.replay(&schedule, &assignment);
         let report = cluster.shutdown();
         assert_eq!(
             report.completed + report.shed,
@@ -492,11 +489,11 @@ fn run_cluster(
         for line in report.replica_summary() {
             eprintln!("#   {line}");
         }
-        for line in report.class_summary() {
-            eprintln!("#   {line}");
+        for class in &report.classes {
+            eprintln!("#   {}", class.summary_line());
         }
-        for line in report.model_summary() {
-            eprintln!("#   {line}");
+        for model in &report.models {
+            eprintln!("#   {}", model.summary_line());
         }
         for event in &report.scale_events {
             eprintln!("#   scale: {event}");
@@ -675,26 +672,8 @@ fn run_single_server(
                 memory,
                 ..ServeConfig::default()
             };
-            let report = match &spec {
-                None => {
-                    let payloads = generator.payloads(opts.requests);
-                    let report = if opts.models == 1 && memory.is_none() {
-                        serve_closed_loop(Arc::clone(&session), config, payloads).0
-                    } else {
-                        serve_closed_loop_models(
-                            build_registry(),
-                            config,
-                            payloads,
-                            &model_assignment(opts),
-                        )
-                        .0
-                    };
-                    assert_eq!(
-                        report.completed, opts.requests,
-                        "lost requests at {workers} workers ({backend})"
-                    );
-                    report
-                }
+            let closed;
+            let arrivals: &[Arrival] = match &spec {
                 Some(spec) => {
                     config = config
                         .with_traffic_classes(&spec.classes)
@@ -702,26 +681,20 @@ fn run_single_server(
                     if let Some(depth) = opts.shed_depth {
                         config.queue_capacity = config.queue_capacity.max(depth);
                     }
-                    let schedule = schedule.as_deref().expect("schedule exists with a spec");
-                    let report = if opts.models == 1 && memory.is_none() {
-                        serve_open_loop(Arc::clone(&session), config, schedule).0
-                    } else {
-                        serve_open_loop_models(
-                            build_registry(),
-                            config,
-                            schedule,
-                            &model_assignment(opts),
-                        )
-                        .0
-                    };
-                    assert_eq!(
-                        report.completed + report.shed,
-                        opts.requests,
-                        "lost requests at {workers} workers ({backend})"
-                    );
-                    report
+                    schedule.as_deref().expect("schedule exists with a spec")
+                }
+                None => {
+                    closed = closed_loop(generator.payloads(opts.requests));
+                    &closed
                 }
             };
+            let server = Server::start_registry(build_registry(), config);
+            let (report, _) = drive(server, arrivals, &model_assignment(opts));
+            assert_eq!(
+                report.completed + report.shed,
+                opts.requests,
+                "lost requests at {workers} workers ({backend})"
+            );
             csv_row(&[
                 opts.scenario.as_str().to_string(),
                 label.clone(),
@@ -738,11 +711,11 @@ fn run_single_server(
                 fmt(report.mean_batch_size()),
                 fmt(report.sim_gpu_s),
             ]);
-            for line in report.class_summary() {
-                eprintln!("#   [{} workers] {line}", workers);
+            for class in &report.classes {
+                eprintln!("#   [{workers} workers] {}", class.summary_line());
             }
-            for line in report.model_summary() {
-                eprintln!("#   [{} workers] {line}", workers);
+            for model in &report.models {
+                eprintln!("#   [{workers} workers] {}", model.summary_line());
             }
             throughputs.push((workers, report.throughput_rps()));
             records.push(report::serve_run(opts.scenario.as_str(), &label, workers, &report));

@@ -574,6 +574,7 @@ mod tests {
             &observations,
             &shed,
             &classes,
+            &[],
             Duration::from_secs(2),
             Vec::new(),
         )

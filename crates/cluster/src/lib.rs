@@ -22,8 +22,10 @@
 //! * [`Autoscaler`] — threshold + hysteresis scaling on sustained
 //!   queue-depth or shed pressure; the cluster applies its decisions.
 //! * [`Cluster`] — routes classed submissions, replays
-//!   [`tw_models::Arrival`] schedules open-loop, and aggregates every
-//!   replica's outcome into a [`ClusterReport`].
+//!   [`tw_models::Arrival`] schedules on their own clock
+//!   ([`Cluster::replay`], one model or a cycled model assignment), and
+//!   aggregates every replica's outcome into a [`ClusterReport`] with the
+//!   same `tw_serve::summarize` builder a single server reports through.
 //!
 //! # Id conservation
 //!
@@ -42,7 +44,7 @@
 //!    longer route to it and no new ids can reach it.
 //! 2. Its server runs `tw_serve::Server::shutdown`'s documented
 //!    close → join → collect ordering, draining everything already queued.
-//! 3. The retired outcome (spec, routed count, report, responses) is held
+//! 3. The retired outcome (spec, routed count, report, observations) is held
 //!    until [`Cluster::shutdown`] merges every replica — scaled-down ones
 //!    included — into the final report.
 //!
@@ -139,24 +141,6 @@ impl ClusterConfig {
     /// Builder-style class list mirroring a traffic mix.
     pub fn with_traffic_classes(self, classes: &[tw_models::TrafficClass]) -> Self {
         self.with_classes(ClassPolicy::from_traffic(classes))
-    }
-
-    /// Builder-style override of the routing policy.
-    pub fn with_balancer(mut self, balancer: BalancerKind) -> Self {
-        self.balancer = balancer;
-        self
-    }
-
-    /// Builder-style override of the autoscaler.
-    pub fn with_autoscaler(mut self, autoscaler: AutoscalerConfig) -> Self {
-        self.autoscaler = Some(autoscaler);
-        self
-    }
-
-    /// Builder-style activation of per-replica VRAM residency management.
-    pub fn with_memory(mut self, memory: MemoryConfig) -> Self {
-        self.memory = Some(memory);
-        self
     }
 }
 
@@ -299,44 +283,25 @@ impl Cluster {
         Ok((pick, admission))
     }
 
-    /// Replays a `tw-models` traffic schedule open-loop: each [`Arrival`]
-    /// is routed at its offset from the start of the replay, on the
-    /// schedule's own clock.  Admission-refused requests land in the final
-    /// report's shed accounting.  (As with `tw_serve::serve_open_loop`,
-    /// activate admission control or size queues for the offered load when
-    /// the arrival clock must be honored under overload.)
+    /// Replays a `tw-models` traffic schedule on its own clock
+    /// ([`tw_models::pace`]): arrival `i` is routed, for model
+    /// `models[i % models.len()]`, at its offset from the start of the
+    /// replay.  `&[0]` serves a single model; `&[0, 1]` alternates two
+    /// models per arrival; `&[0, 0, 0, 1]` skews traffic 3:1.
+    /// Admission-refused requests land in the final report's shed
+    /// accounting.  (As with `tw_serve::drive`, activate admission control
+    /// or size queues for the offered load when the arrival clock must be
+    /// honored under overload.)
     ///
     /// # Panics
-    /// Panics on arrivals whose class or payload does not fit the config.
-    pub fn replay(&mut self, schedule: &[Arrival]) {
-        self.replay_assigned(schedule, &[0]);
-    }
-
-    /// [`Cluster::replay`], with each arrival routed to a model from
-    /// `assignment` (cycled by arrival index) — the multi-model traffic
-    /// replay.  `&[0]` reproduces the single-model behavior;
-    /// `&[0, 1]` alternates two models per arrival; `&[0, 0, 0, 1]` skews
-    /// traffic 3:1.
-    ///
-    /// # Panics
-    /// Panics on an empty `assignment`, or arrivals whose class, model or
+    /// Panics on an empty `models` list, or arrivals whose class, model or
     /// payload does not fit the config.
-    pub fn replay_assigned(&mut self, schedule: &[Arrival], assignment: &[ModelId]) {
-        assert!(!assignment.is_empty(), "model assignment cannot be empty");
-        let started = Instant::now();
-        for (index, arrival) in schedule.iter().enumerate() {
-            let target = started + arrival.at;
-            let now = Instant::now();
-            if target > now {
-                std::thread::sleep(target - now);
-            }
-            self.submit_model(
-                assignment[index % assignment.len()],
-                arrival.class,
-                arrival.payload.clone(),
-            )
-            .expect("open-loop submit before shutdown");
-        }
+    pub fn replay(&mut self, schedule: &[Arrival], models: &[ModelId]) {
+        assert!(!models.is_empty(), "model assignment cannot be empty");
+        tw_models::pace(schedule, |i, arrival| {
+            self.submit_model(models[i % models.len()], arrival.class, arrival.payload.clone())
+                .expect("submit before shutdown");
+        });
     }
 
     /// On the poll cadence, feed the autoscaler one pressure observation
@@ -431,7 +396,6 @@ impl Cluster {
 mod tests {
     use super::*;
     use tilewise::{Backend, InferenceSession};
-    use tw_models::TrafficSpec;
 
     fn tiles() -> Vec<TileWiseMatrix> {
         InferenceSession::synthetic_tiles(&[24, 32, 12], 0.5, 8, 17)
@@ -569,27 +533,6 @@ mod tests {
             "two drains to reach the floor: {:?}",
             report.scale_events,
         );
-    }
-
-    #[test]
-    fn open_loop_replay_with_admission_sheds_but_conserves() {
-        let spec = TrafficSpec::bursty(3000.0, Duration::from_millis(25), 120, 24, 9);
-        let config = ClusterConfig {
-            queue_capacity: 64,
-            admission: AdmissionConfig { max_queue_depth: Some(6), ..Default::default() },
-            balancer: BalancerKind::PowerOfTwoChoices,
-            balancer_seed: 11,
-            ..ClusterConfig::default()
-        }
-        .with_traffic_classes(&spec.classes);
-        let mut cluster = Cluster::start(tiles(), specs(2, 1, 2e3), config);
-        cluster.replay(&spec.schedule());
-        let report = cluster.shutdown();
-        assert_eq!(report.completed + report.shed, 120);
-        assert!(report.shed > 0, "a depth bound of 6 under a 3000 rps burst must shed");
-        assert_eq!(report.classes.len(), 2);
-        let by_class: usize = report.classes.iter().map(|c| c.completed + c.shed).sum();
-        assert_eq!(by_class, 120, "per-class rows cover the run");
     }
 
     #[test]

@@ -7,8 +7,8 @@ use tilewise::{Backend, InferenceSession, TileWiseMatrix};
 use tw_gpu_sim::GpuDevice;
 use tw_memory::ModelRegistry;
 use tw_serve::{
-    Admission, ClassId, GpuDwell, InferenceResponse, ModelId, ServeConfig, ServeReport, Server,
-    ServerClosed,
+    Admission, ClassId, GpuDwell, InferenceResponse, ModelId, RunObservation, ServeConfig,
+    ServeReport, Server, ServerClosed,
 };
 
 /// How to build one replica.  Replicas are first-class heterogeneous: each
@@ -113,16 +113,6 @@ impl Replica {
         &self.spec
     }
 
-    /// The replica's resolved per-layer kernel plan.
-    pub fn plan(&self) -> Vec<&'static str> {
-        self.server.session().layer_backends()
-    }
-
-    /// Submissions routed here so far (admitted + shed).
-    pub fn routed(&self) -> usize {
-        self.routed
-    }
-
     /// Total queued requests right now.
     pub fn queue_depth(&self) -> usize {
         self.server.queue_depth()
@@ -189,7 +179,7 @@ impl Replica {
             report.shed,
             routed,
         );
-        RetiredReplica { spec: self.spec, routed, report, responses }
+        RetiredReplica::new(self.spec, routed, report, &responses)
     }
 }
 
@@ -202,9 +192,26 @@ pub struct RetiredReplica {
     pub routed: usize,
     /// Its final serving report.
     pub report: ServeReport,
-    /// Every response it produced (the cluster never drains mid-run, so
-    /// this is the replica's complete output).
-    pub responses: Vec<InferenceResponse>,
+    /// One observation per response it produced (the cluster never drains
+    /// mid-run, so this covers the replica's complete output).
+    pub observations: Vec<RunObservation>,
+}
+
+impl RetiredReplica {
+    /// Retires a replica from its server's shutdown output.
+    pub fn new(
+        spec: ReplicaSpec,
+        routed: usize,
+        report: ServeReport,
+        responses: &[InferenceResponse],
+    ) -> Self {
+        Self {
+            spec,
+            routed,
+            report,
+            observations: responses.iter().map(RunObservation::of).collect(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -221,17 +228,16 @@ mod tests {
         let config = ClusterConfig::default();
         let spec = ReplicaSpec::v100("r0", 2, Backend::TileWise, 0.0);
         let mut replica = Replica::start(&models(), spec, &config);
-        assert_eq!(replica.plan(), vec!["tile-wise", "tile-wise"]);
         for _ in 0..25 {
             replica.submit_model(0, 0, vec![0.2; 24]).unwrap();
         }
-        assert_eq!(replica.routed(), 25);
         // Without memory management every model reads fully warm.
         assert_eq!(replica.probe(0, 0, 0, true).warm_fraction, 1.0);
         let retired = replica.shutdown();
         assert_eq!(retired.report.completed, 25);
-        assert_eq!(retired.responses.len(), 25);
+        assert_eq!(retired.observations.len(), 25);
         assert_eq!(retired.routed, 25);
+        assert_eq!(retired.report.backend_plan, vec!["tile-wise", "tile-wise"]);
     }
 
     #[test]

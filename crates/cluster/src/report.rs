@@ -4,7 +4,11 @@
 
 use crate::replica::RetiredReplica;
 use std::time::Duration;
-use tw_serve::{ClassPolicy, ClassStats, LatencySummary, ModelStats, ServeReport};
+use tw_memory::ModelPagingStats;
+use tw_serve::stats::{fraction, per_second};
+use tw_serve::{
+    summarize, ClassPolicy, ClassStats, LatencySummary, ModelStats, RunObservation, ServeReport,
+};
 
 /// One replica's slice of the cluster report.
 #[derive(Clone, Debug)]
@@ -52,10 +56,12 @@ pub struct ClusterReport {
 }
 
 impl ClusterReport {
-    /// Aggregates retired replicas into the cluster-wide view.  Per-class
-    /// rows are rebuilt from the union of all replicas' responses so the
-    /// cluster percentiles are true order statistics, not averages of
-    /// per-replica percentiles.
+    /// Aggregates retired replicas into the cluster-wide view.  The
+    /// latency, class and model rows come from [`tw_serve::summarize`] over
+    /// the union of all replicas' observations, so the cluster percentiles
+    /// are true order statistics, not averages of per-replica percentiles;
+    /// shed counts and paging counters are summed over the replicas' own
+    /// rows.
     pub fn aggregate(
         balancer: String,
         classes: &[ClassPolicy],
@@ -63,81 +69,27 @@ impl ClusterReport {
         scale_events: Vec<String>,
         wall: Duration,
     ) -> Self {
-        let all_latencies: Vec<f64> = retired
-            .iter()
-            .flat_map(|r| r.responses.iter().map(|resp| resp.latency.as_secs_f64()))
+        let observations: Vec<RunObservation> =
+            retired.iter().flat_map(|r| r.observations.iter().copied()).collect();
+        let class_shed: Vec<usize> = (0..classes.len())
+            .map(|id| retired.iter().filter_map(|r| r.report.classes.get(id)).map(|c| c.shed).sum())
             .collect();
-        let class_stats: Vec<ClassStats> = classes
-            .iter()
-            .enumerate()
-            .map(|(id, policy)| {
-                let samples: Vec<f64> = retired
-                    .iter()
-                    .flat_map(|r| r.responses.iter())
-                    .filter(|resp| resp.class == id)
-                    .map(|resp| resp.latency.as_secs_f64())
-                    .collect();
-                let good = retired
-                    .iter()
-                    .flat_map(|r| r.responses.iter())
-                    .filter(|resp| resp.class == id && resp.deadline_met != Some(false))
-                    .count();
-                ClassStats {
-                    class: id,
-                    name: policy.name.clone(),
-                    completed: samples.len(),
-                    shed: retired
-                        .iter()
-                        .map(|r| r.report.classes.get(id).map_or(0, |c| c.shed))
-                        .sum(),
-                    good,
-                    latency: LatencySummary::from_samples(samples),
-                }
-            })
-            .collect();
-        // Per-model rows: true fleet-wide cold/warm order statistics from
-        // the union of responses, tile counters summed over the replicas'
-        // own per-model rows.
         let num_models = retired.iter().map(|r| r.report.models.len()).max().unwrap_or(0);
-        let model_stats: Vec<ModelStats> = (0..num_models)
+        let models: Vec<(String, ModelPagingStats)> = (0..num_models)
             .map(|id| {
-                let name = retired
-                    .iter()
-                    .find_map(|r| r.report.models.get(id).map(|m| m.name.clone()))
-                    .unwrap_or_else(|| format!("model-{id}"));
-                let warm: Vec<f64> = retired
-                    .iter()
-                    .flat_map(|r| r.responses.iter())
-                    .filter(|resp| resp.model == id && !resp.cold)
-                    .map(|resp| resp.latency.as_secs_f64())
-                    .collect();
-                let cold: Vec<f64> = retired
-                    .iter()
-                    .flat_map(|r| r.responses.iter())
-                    .filter(|resp| resp.model == id && resp.cold)
-                    .map(|resp| resp.latency.as_secs_f64())
-                    .collect();
-                let row = |f: fn(&ModelStats) -> u64| -> u64 {
-                    retired.iter().filter_map(|r| r.report.models.get(id)).map(f).sum()
+                let rows: Vec<&ModelStats> =
+                    retired.iter().filter_map(|r| r.report.models.get(id)).collect();
+                let paged = ModelPagingStats {
+                    hits: rows.iter().map(|m| m.tile_hits).sum(),
+                    misses: rows.iter().map(|m| m.tile_misses).sum(),
+                    bytes_transferred: rows.iter().map(|m| m.bytes_paged).sum(),
+                    transfer_seconds: rows.iter().map(|m| m.transfer_sim_s).sum(),
                 };
-                ModelStats {
-                    model: id,
-                    name,
-                    completed: warm.len() + cold.len(),
-                    cold: cold.len(),
-                    warm_latency: LatencySummary::from_samples(warm),
-                    cold_latency: LatencySummary::from_samples(cold),
-                    tile_hits: row(|m| m.tile_hits),
-                    tile_misses: row(|m| m.tile_misses),
-                    bytes_paged: row(|m| m.bytes_paged),
-                    transfer_sim_s: retired
-                        .iter()
-                        .filter_map(|r| r.report.models.get(id))
-                        .map(|m| m.transfer_sim_s)
-                        .sum(),
-                }
+                (rows[0].name.clone(), paged)
             })
             .collect();
+        let (latency, class_stats, model_stats) =
+            summarize(&observations, classes, &class_shed, &models);
         let replicas: Vec<ReplicaReport> = retired
             .into_iter()
             .map(|r| ReplicaReport {
@@ -155,7 +107,7 @@ impl ClusterReport {
             completed: replicas.iter().map(|r| r.report.completed).sum(),
             shed: replicas.iter().map(|r| r.report.shed).sum(),
             wall,
-            latency: LatencySummary::from_samples(all_latencies),
+            latency,
             classes: class_stats,
             models: model_stats,
             replicas,
@@ -179,10 +131,7 @@ impl ClusterReport {
 
     /// Fraction of issued submissions shed.
     pub fn shed_rate(&self) -> f64 {
-        if self.issued == 0 {
-            return 0.0;
-        }
-        self.shed as f64 / self.issued as f64
+        fraction(self.shed, self.issued)
     }
 
     /// Total simulated device seconds across the fleet.
@@ -207,11 +156,7 @@ impl ClusterReport {
 
     /// Mean requests fused per batch, fleet-wide.
     pub fn mean_batch_size(&self) -> f64 {
-        let batches = self.batches();
-        if batches == 0 {
-            return 0.0;
-        }
-        self.completed as f64 / batches as f64
+        fraction(self.completed, self.batches())
     }
 
     /// Routing imbalance: the busiest replica's routed count over the
@@ -272,38 +217,147 @@ impl ClusterReport {
             })
             .collect()
     }
-
-    /// One line per model, aggregated fleet-wide: the cold-start view
-    /// (same [`ModelStats::summary_line`] format as single-server reports).
-    pub fn model_summary(&self) -> Vec<String> {
-        self.models.iter().map(ModelStats::summary_line).collect()
-    }
-
-    /// One line per class, aggregated fleet-wide.
-    pub fn class_summary(&self) -> Vec<String> {
-        self.classes
-            .iter()
-            .map(|c| {
-                format!(
-                    "class {} ({}): {} completed, {} shed ({:.1}%), hit rate {:.1}% | p50 {:.2}ms p99 {:.2}ms",
-                    c.class,
-                    c.name,
-                    c.completed,
-                    c.shed,
-                    c.shed_rate() * 100.0,
-                    c.hit_rate() * 100.0,
-                    c.latency.p50_s * 1e3,
-                    c.latency.p99_s * 1e3,
-                )
-            })
-            .collect()
-    }
 }
 
-fn per_second(count: usize, wall: Duration) -> f64 {
-    let secs = wall.as_secs_f64();
-    if secs <= 0.0 {
-        return 0.0;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::replica::ReplicaSpec;
+    use tilewise::Backend;
+    use tw_serve::InferenceResponse;
+
+    /// One retired replica: completions as `(class, model, cold, latency
+    /// ms, deadline met)`, shed counts per class, and `(hits, misses,
+    /// bytes, transfer s)` paging counters per model.
+    fn retired(
+        outcomes: &[(usize, usize, bool, u64, Option<bool>)],
+        class_shed: [usize; 2],
+        paging: [(u64, u64, u64, f64); 2],
+    ) -> RetiredReplica {
+        let responses: Vec<InferenceResponse> = outcomes
+            .iter()
+            .map(|&(class, model, cold, ms, deadline_met)| InferenceResponse {
+                id: 0,
+                output: Vec::new(),
+                latency: Duration::from_millis(ms),
+                batch_size: 1,
+                worker: 0,
+                class,
+                model,
+                cold,
+                deadline_met,
+            })
+            .collect();
+        let empty = LatencySummary::from_samples(Vec::new());
+        let classes = (0..2)
+            .map(|class| {
+                let shed = class_shed[class];
+                ClassStats {
+                    class,
+                    name: String::new(),
+                    completed: 0,
+                    shed,
+                    good: 0,
+                    latency: empty,
+                }
+            })
+            .collect();
+        let models = (0..2)
+            .map(|model| ModelStats {
+                model,
+                name: ["a@v1", "b@v1"][model].into(),
+                completed: 0,
+                cold: 0,
+                warm_latency: empty,
+                cold_latency: empty,
+                tile_hits: paging[model].0,
+                tile_misses: paging[model].1,
+                bytes_paged: paging[model].2,
+                transfer_sim_s: paging[model].3,
+            })
+            .collect();
+        let shed = class_shed.iter().sum();
+        let report = ServeReport {
+            shed,
+            classes,
+            models,
+            ..ServeReport::from_latencies(vec![0.0; outcomes.len()], Duration::ZERO, Vec::new())
+        };
+        let spec = ReplicaSpec::v100("r", 1, Backend::TileWise, 0.0);
+        RetiredReplica::new(spec, outcomes.len() + shed, report, &responses)
     }
-    count as f64 / secs
+
+    /// `count` exactly, `mean_ms` within 1e-12 relative, and the p50, p95,
+    /// p99 and max latencies exactly (in ms).
+    fn assert_latency(s: &LatencySummary, count: usize, mean_ms: f64, ms: [u64; 4]) {
+        assert_eq!(s.count, count);
+        assert_close(s.mean_s, mean_ms / 1e3);
+        assert_eq!([s.p50_s, s.p95_s, s.p99_s, s.max_s], ms.map(|m| m as f64 / 1e3));
+    }
+
+    fn assert_close(actual: f64, expected: f64) {
+        assert!((actual - expected).abs() <= 1e-12 * expected.abs(), "{actual} != {expected}");
+    }
+
+    #[test]
+    fn aggregate_pins_fleet_latency_class_and_model_rows() {
+        let r0 = retired(
+            &[
+                (0, 0, true, 30, Some(true)),
+                (0, 0, false, 60, Some(false)),
+                (1, 1, true, 120, None),
+                (1, 0, false, 20, None),
+            ],
+            [2, 1],
+            [(10, 2, 4096, 0.25), (3, 5, 8192, 0.5)],
+        );
+        let r1 = retired(
+            &[
+                (0, 1, false, 10, Some(true)),
+                (0, 1, true, 80, Some(false)),
+                (1, 0, false, 40, None),
+                (1, 1, false, 200, None),
+                (0, 0, true, 45, Some(true)),
+            ],
+            [1, 3],
+            [(7, 1, 2048, 0.125), (0, 4, 16384, 1.0)],
+        );
+        let classes = [
+            ClassPolicy::with_deadline("interactive", Duration::from_millis(50)),
+            ClassPolicy::best_effort("batch"),
+        ];
+        let report = ClusterReport::aggregate(
+            "jsq".into(),
+            &classes,
+            vec![r0, r1],
+            Vec::new(),
+            Duration::from_secs(2),
+        );
+
+        assert_eq!((report.issued, report.completed, report.shed), (16, 9, 7));
+        assert_latency(&report.latency, 9, 605.0 / 9.0, [45, 200, 200, 200]);
+        assert_close(report.goodput_rps(), 3.5);
+
+        let rows: Vec<_> = report
+            .classes
+            .iter()
+            .map(|c| (c.class, c.name.as_str(), c.completed, c.shed, c.good))
+            .collect();
+        assert_eq!(rows, [(0, "interactive", 5, 3, 3), (1, "batch", 4, 4, 4)]);
+        assert_latency(&report.classes[0].latency, 5, 45.0, [45, 80, 80, 80]);
+        assert_latency(&report.classes[1].latency, 4, 95.0, [40, 200, 200, 200]);
+
+        assert_eq!(report.models.len(), 2);
+        let (a, b) = (&report.models[0], &report.models[1]);
+        let counts =
+            |m: &ModelStats| (m.completed, m.cold, m.tile_hits, m.tile_misses, m.bytes_paged);
+        assert_eq!((a.model, a.name.as_str(), counts(a)), (0, "a@v1", (5, 2, 17, 3, 6144)));
+        assert_eq!((b.model, b.name.as_str(), counts(b)), (1, "b@v1", (4, 2, 3, 9, 24576)));
+        assert_latency(&a.warm_latency, 3, 40.0, [40, 60, 60, 60]);
+        assert_latency(&a.cold_latency, 2, 37.5, [30, 45, 45, 45]);
+        assert_latency(&b.warm_latency, 2, 105.0, [10, 200, 200, 200]);
+        assert_latency(&b.cold_latency, 2, 100.0, [80, 120, 120, 120]);
+        assert_close(a.transfer_sim_s, 0.375);
+        assert_close(b.transfer_sim_s, 1.5);
+    }
 }

@@ -36,5 +36,5 @@ pub use accuracy::{AccuracyModel, TaskKind};
 pub use mlp::{MlpClassifier, MlpTrainConfig, SyntheticClassification};
 pub use requests::RequestGenerator;
 pub use synthetic::{SyntheticModel, SyntheticModelConfig};
-pub use traffic::{Arrival, ArrivalProcess, TrafficClass, TrafficSpec};
+pub use traffic::{closed_loop, pace, Arrival, ArrivalProcess, TrafficClass, TrafficSpec};
 pub use workload::{AuxOp, FixedGemm, ModelKind, PrunableGemm, Workload};

@@ -27,7 +27,7 @@
 use crate::requests::RequestGenerator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One scheduled request of an open-loop run.
 #[derive(Clone, Debug, PartialEq)]
@@ -38,6 +38,29 @@ pub struct Arrival {
     pub class: usize,
     /// Request payload (length = the served model's input dim).
     pub payload: Vec<f32>,
+}
+
+/// A closed-loop schedule: every payload is due at once, in class 0.
+/// Replayed against a server that blocks on a full queue, submission then
+/// runs exactly as fast as the server drains it.
+pub fn closed_loop(payloads: Vec<Vec<f32>>) -> Vec<Arrival> {
+    payloads.into_iter().map(|payload| Arrival { at: Duration::ZERO, class: 0, payload }).collect()
+}
+
+/// Replays `schedule` on its own clock: sleeps until each arrival is due
+/// (its offset from the call) and hands it, with its index, to `submit`.
+/// An arrival already overdue — because `submit` blocked — is handed over
+/// at once.
+pub fn pace(schedule: &[Arrival], mut submit: impl FnMut(usize, &Arrival)) {
+    let started = Instant::now();
+    for (index, arrival) in schedule.iter().enumerate() {
+        let due = started + arrival.at;
+        let now = Instant::now();
+        if due > now {
+            std::thread::sleep(due - now);
+        }
+        submit(index, arrival);
+    }
 }
 
 /// The inter-arrival law of an open-loop source.
@@ -315,6 +338,19 @@ mod tests {
 
     fn mean_gap(schedule: &[Arrival]) -> f64 {
         schedule.last().unwrap().at.as_secs_f64() / schedule.len() as f64
+    }
+
+    #[test]
+    fn pace_hands_out_arrivals_in_order_once_due() {
+        let mut schedule = closed_loop(vec![vec![1.0], vec![2.0]]);
+        assert!(schedule.iter().all(|a| a.at == Duration::ZERO && a.class == 0));
+        schedule[1].at = Duration::from_millis(30);
+        let started = Instant::now();
+        let mut seen = Vec::new();
+        pace(&schedule, |index, arrival| seen.push((index, arrival.payload[0], started.elapsed())));
+        assert_eq!(seen.iter().map(|s| (s.0, s.1)).collect::<Vec<_>>(), [(0, 1.0), (1, 2.0)]);
+        assert!(seen[0].2 < Duration::from_millis(30), "a due arrival is not delayed");
+        assert!(seen[1].2 >= Duration::from_millis(30), "handed over before due");
     }
 
     #[test]

@@ -13,8 +13,11 @@
 //! with an SLO tightens the fill deadline to `member.deadline -
 //! predicted_execution`, where the predicted execution time comes from the
 //! session's cost-model dwell table.  A batch carrying a near-deadline
-//! interactive request therefore closes early — shipping a smaller batch —
-//! instead of politely waiting out a budget the request cannot afford.
+//! interactive request therefore stops *waiting* early instead of politely
+//! waiting out a budget the request cannot afford.  Past the fill deadline
+//! the batcher stays work-conserving: requests already queued still join,
+//! up to `max_batch_size` (the predicted execution time is priced for a
+//! full batch, so the deadline margin holds).
 //! Requests are popped from the priority queue, so higher-priority lanes
 //! fill batches first.
 //!
@@ -108,10 +111,11 @@ impl SloBatcher {
 
     /// Assembles the next batch: blocks for a batch head (stashed work
     /// first, unless the queue holds strictly higher-priority arrivals),
-    /// then fills with same-model requests until the size cap, the wait
-    /// deadline, or the earliest member's SLO cutoff.  Returns `None` once
-    /// the queue is closed and drained and no stashed request remains —
-    /// the worker's signal to exit.
+    /// then fills with same-model requests up to the size cap — waiting
+    /// for arrivals until the wait deadline or the earliest member's SLO
+    /// cutoff, and past it taking only requests already queued.  Returns
+    /// `None` once the queue is closed and drained and no stashed request
+    /// remains — the worker's signal to exit.
     pub fn next_batch(&self) -> Option<Vec<InferenceRequest>> {
         // Phase 1: wait (in slices, re-checking the stash so a request
         // stashed by another worker is never stranded behind an idle queue)
@@ -131,16 +135,21 @@ impl SloBatcher {
         };
         let model = head.model;
 
-        // Phase 2: fill until size cap, wait deadline, or SLO cutoff.
+        // Phase 2: fill until the size cap, waiting for arrivals until the
+        // wait deadline or SLO cutoff; past it, keep taking only what is
+        // already queued (work-conserving: a backlog never ships as
+        // singletons, and no request waits past the cutoff).
         let mut fill_until = self.tighten(Instant::now() + self.max_batch_wait, &head);
         let mut batch = Vec::with_capacity(self.max_batch_size);
         batch.push(head);
         while batch.len() < self.max_batch_size {
             let now = Instant::now();
-            if now >= fill_until {
-                break;
-            }
-            match self.queue.pop_timeout(fill_until - now) {
+            let next = if now >= fill_until {
+                self.queue.try_pop().map_or(Pop::TimedOut, Pop::Item)
+            } else {
+                self.queue.pop_timeout(fill_until - now)
+            };
+            match next {
                 Pop::Item(item) if item.model == model => {
                     fill_until = self.tighten(fill_until, &item);
                     batch.push(item);
@@ -152,8 +161,9 @@ impl SloBatcher {
                     self.stash.lock().expect("batch stash poisoned").push_back(item);
                     break;
                 }
-                // Closed with a partial batch in hand: flush what we have;
-                // the next call will observe Closed and return None.
+                // Nothing more in time, or closed with a partial batch in
+                // hand: flush what we have; after a close the next call
+                // observes Closed and returns None.
                 Pop::TimedOut | Pop::Closed => break,
             }
         }
@@ -277,14 +287,32 @@ mod tests {
     }
 
     #[test]
-    fn zero_wait_degenerates_to_head_only_batches() {
-        let b = batcher(8, 4, 0);
-        b.queue().push(0, request(1)).unwrap();
-        b.queue().push(0, request(2)).unwrap();
-        // With a zero wait budget the deadline has already passed once the
-        // head is in hand, so every batch is a singleton.
-        assert_eq!(ids(&b.next_batch().unwrap()), vec![1]);
-        assert_eq!(ids(&b.next_batch().unwrap()), vec![2]);
+    fn zero_wait_still_batches_the_queued_backlog() {
+        let b = batcher(64, 8, 0);
+        for i in 0..16 {
+            b.queue().push(0, request(i)).unwrap();
+        }
+        // The wait deadline has passed once the head is in hand, but the
+        // queued same-model requests still fill the batch to its cap.
+        assert_eq!(ids(&b.next_batch().unwrap()), (0..8).collect::<Vec<_>>());
+        assert_eq!(ids(&b.next_batch().unwrap()), (8..16).collect::<Vec<_>>());
+        // An empty queue past the deadline closes the batch without waiting.
+        b.queue().push(0, request(16)).unwrap();
+        assert_eq!(ids(&b.next_batch().unwrap()), vec![16]);
+    }
+
+    #[test]
+    fn near_deadline_head_still_takes_its_queued_peers() {
+        // The head's 50ms SLO leaves no slack for the predicted 90ms
+        // execution, so its fill deadline has already passed — but five
+        // peers are queued: the batch takes all six without waiting.
+        let b = batcher_with_exec(64, 8, 500, 90);
+        for i in 1..7 {
+            b.queue().push(0, deadline_request(i, 50)).unwrap();
+        }
+        let start = Instant::now();
+        assert_eq!(ids(&b.next_batch().unwrap()), vec![1, 2, 3, 4, 5, 6]);
+        assert!(start.elapsed() < Duration::from_millis(120), "waited {:?}", start.elapsed());
     }
 
     #[test]

@@ -20,13 +20,6 @@ pub struct GpuDwell {
     pub time_scale: f64,
 }
 
-impl GpuDwell {
-    /// Real-time replay of the modelled device.
-    pub fn realtime() -> Self {
-        Self { time_scale: 1.0 }
-    }
-}
-
 /// One request class the server accepts.  Classes are configured as an
 /// ordered list on [`ServeConfig::classes`]; the *index* is the class id and
 /// its priority — index 0 is served first (strict priority across the
@@ -226,12 +219,6 @@ impl ServeConfig {
         self.admission = admission;
         self
     }
-
-    /// Builder-style activation of VRAM residency management.
-    pub fn with_memory(mut self, memory: MemoryConfig) -> Self {
-        self.memory = Some(memory);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -251,7 +238,7 @@ mod tests {
         let cfg = ServeConfig::default()
             .with_workers(4)
             .with_batching(16, Duration::from_millis(5))
-            .with_gpu_dwell(GpuDwell::realtime())
+            .with_gpu_dwell(GpuDwell { time_scale: 1.0 })
             .with_classes(vec![
                 ClassPolicy::with_deadline("interactive", Duration::from_millis(40)),
                 ClassPolicy::best_effort("batch"),
@@ -299,13 +286,10 @@ mod tests {
     }
 
     #[test]
-    fn memory_config_defaults_and_builder() {
-        let cfg = ServeConfig::default();
-        assert!(cfg.memory.is_none(), "residency management is opt-in");
-        let cfg =
-            cfg.with_memory(MemoryConfig { vram_bytes: Some(1 << 20), ..MemoryConfig::default() });
-        cfg.validate();
-        let memory = cfg.memory.unwrap();
+    fn memory_config_defaults() {
+        assert!(ServeConfig::default().memory.is_none(), "residency management is opt-in");
+        let memory = MemoryConfig { vram_bytes: Some(1 << 20), ..MemoryConfig::default() };
+        ServeConfig { memory: Some(memory), ..ServeConfig::default() }.validate();
         assert_eq!(memory.vram_bytes, Some(1 << 20));
         assert_eq!(memory.page_bytes, tw_memory::ModelRegistry::DEFAULT_PAGE_BYTES);
         assert_eq!(memory.policy, PolicyKind::Lru);
@@ -314,9 +298,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "page size must be positive")]
     fn zero_page_size_rejected() {
-        ServeConfig::default()
-            .with_memory(MemoryConfig { page_bytes: 0, ..MemoryConfig::default() })
-            .validate();
+        let memory = MemoryConfig { page_bytes: 0, ..MemoryConfig::default() };
+        ServeConfig { memory: Some(memory), ..ServeConfig::default() }.validate();
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! kernel executions with bounded latency:
 //!
 //! ```text
-//!  submit / submit_to       +------------------+
+//!  submit_to / submit_model +------------------+
 //!  ---> AdmissionController |    SloBatcher    |   worker 0 ── forward_batch (TW/CSR/dense)
 //!  ---> PriorityQueue       | size / wait / SLO| → worker 1 ──   + simulated GPU dwell
 //!  ---> (shed or backpress.)|   early close    |   worker N ── responses → ServeReport
@@ -24,8 +24,9 @@
 //!   class served in strict priority order (interactive jumps batch).
 //! * [`batcher::SloBatcher`] — groups requests into batches of at most
 //!   `max_batch_size`, waiting at most `max_batch_wait` after the batch
-//!   head arrives — and closes *early* when a member's deadline leaves no
-//!   slack for the predicted batch execution time.
+//!   head arrives — and stops waiting *early* when a member's deadline
+//!   leaves no slack for the predicted batch execution time.  Requests
+//!   already queued still join past the deadline (work-conserving).
 //! * [`pool::WorkerPool`] — N threads, each executing whole batches on a
 //!   shared [`tilewise::InferenceSession`] whose layers each run their own
 //!   [`tilewise::KernelBackend`], then dwelling for the batch's simulated
@@ -35,11 +36,12 @@
 //!   throughput, *goodput* (completions within SLO), shed rates, batch-size
 //!   and per-worker counters, plus the per-layer backend plan.
 //!
-//! The [`Server`] ties these together; [`serve_closed_loop`] submits a
-//! fixed payload list under blocking backpressure (peak-throughput
-//! benchmarks), while [`serve_open_loop`] replays a `tw-models`
-//! [`Arrival`] schedule on its own clock (traffic scenarios: steady,
-//! bursty, heavy-tailed, mixed-priority).
+//! The [`Server`] ties these together, and [`drive`] replays a `tw-models`
+//! [`Arrival`] schedule into it: a [`tw_models::closed_loop`] schedule
+//! submits a fixed payload list under blocking backpressure
+//! (peak-throughput benchmarks), a [`tw_models::TrafficSpec`] schedule
+//! arrives on its own clock (traffic scenarios: steady, bursty,
+//! heavy-tailed, mixed-priority).
 //!
 //! Everything is deterministic except scheduling: responses carry request
 //! ids, and the batched sparse outputs equal per-request dense inference
@@ -59,7 +61,9 @@ pub use config::{AdmissionConfig, ClassPolicy, GpuDwell, MemoryConfig, ServeConf
 pub use pool::{ModelRuntime, WorkerPool};
 pub use queue::{Pop, PriorityQueue, PushError};
 pub use request::{ClassId, InferenceRequest, InferenceResponse, ModelId, ShedReason, ShedRecord};
-pub use stats::{ClassStats, LatencySummary, ModelStats, RunObservation, ServeReport, WorkerStats};
+pub use stats::{
+    summarize, ClassStats, LatencySummary, ModelStats, RunObservation, ServeReport, WorkerStats,
+};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -67,7 +71,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 use tilewise::{DwellModel, InferenceSession};
 use tw_gpu_sim::TransferCost;
-use tw_memory::{CacheStats, MemoryPool, ModelRegistry, TileCache};
+use tw_memory::{MemoryPool, ModelPagingStats, ModelRegistry, TileCache};
 use tw_models::Arrival;
 
 /// Outcome of one [`Server::submit_to`] call.
@@ -202,16 +206,6 @@ impl Server {
         &self.models[0].session
     }
 
-    /// Number of hosted models.
-    pub fn num_models(&self) -> usize {
-        self.models.len()
-    }
-
-    /// The hosted model names (`name@vN`), in [`ModelId`] order.
-    pub fn model_names(&self) -> Vec<String> {
-        self.models.iter().map(|m| m.name.clone()).collect()
-    }
-
     /// Fraction of `model`'s weight bytes currently resident in VRAM — the
     /// *warmth* probe residency-aware cluster routing ranks replicas by.
     /// `1.0` when memory management is off (everything is always resident).
@@ -226,39 +220,9 @@ impl Server {
         }
     }
 
-    /// Snapshot of the tile cache's lifetime counters; `None` when memory
-    /// management is off.
-    pub fn memory_stats(&self) -> Option<CacheStats> {
-        self.memory.as_ref().map(|cache| cache.lock().expect("tile cache poisoned").stats())
-    }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.pool.len()
-    }
-
     /// The configured request classes, in priority order.
     pub fn classes(&self) -> &[ClassPolicy] {
         &self.classes
-    }
-
-    /// Submits one request of the default class (0), blocking while the
-    /// queue is full — the closed-loop path.  Returns the assigned request
-    /// id, or `Err` if the server is shutting down.
-    ///
-    /// # Panics
-    /// Panics if the payload length does not match the model's input dim,
-    /// or if admission control is active (an open-loop server sheds instead
-    /// of blocking — use [`Server::submit_to`]).
-    pub fn submit(&self, payload: Vec<f32>) -> Result<u64, ServerClosed> {
-        assert!(
-            !self.admission.is_active(),
-            "blocking submit() is the closed-loop path; with admission control active use submit_to()"
-        );
-        match self.submit_to(0, payload)? {
-            Admission::Admitted(id) => Ok(id),
-            Admission::Shed(_) => unreachable!("inactive admission never sheds"),
-        }
     }
 
     /// Submits one request of `class` against the default model (0).  See
@@ -341,47 +305,20 @@ impl Server {
         self.queue.len()
     }
 
-    /// `(total queue depth, depth ahead of a new arrival of `class`)` under
-    /// one lock — the routing probe a multi-replica load balancer polls.
-    /// The second component counts the backlog in lanes of the same or
-    /// higher priority, which under strict priority is what the arrival
-    /// would actually wait behind.
-    ///
-    /// # Panics
-    /// Panics if `class` is out of range.
-    pub fn class_depths(&self, class: ClassId) -> (usize, usize) {
-        self.queue.depths(class)
-    }
-
-    /// Cost-model-predicted wall-clock wait a new `class` arrival would
-    /// face behind the current backlog, priced by the session's
-    /// [`tilewise::DwellModel`] and this server's batch size, worker count
-    /// and dwell scale.  Zero when the server dwells no simulated device
-    /// time (the prediction has nothing to price).  This is the probe the
-    /// cluster layer's cost-aware balancer ranks replicas with.
-    ///
-    /// # Panics
-    /// Panics if `class` is out of range.
-    pub fn predicted_wait(&self, class: ClassId) -> std::time::Duration {
-        self.routing_probe(class).2
-    }
-
     /// The whole routing snapshot — `(total depth, depth ahead of a new
     /// `class` arrival, predicted wait for that backlog)` — with the queue
-    /// lock taken once.  A cluster router polls every replica per
-    /// submission, so this is the hot-path form of
-    /// [`Server::class_depths`] + [`Server::predicted_wait`].
+    /// lock taken once.  The depth ahead counts the backlog in lanes of the
+    /// same or higher priority, which under strict priority is what the
+    /// arrival would actually wait behind; the wait is priced by the
+    /// session's [`tilewise::DwellModel`] and this server's batch size,
+    /// worker count and dwell scale (zero without a dwell).  A cluster
+    /// router polls every replica per submission with this probe.
     ///
     /// # Panics
     /// Panics if `class` is out of range.
     pub fn routing_probe(&self, class: ClassId) -> (usize, usize, std::time::Duration) {
         let (total, ahead) = self.queue.depths(class);
         (total, ahead, self.admission.predicted_wait(ahead))
-    }
-
-    /// Number of requests admitted so far (completed or in flight).
-    pub fn admitted_so_far(&self) -> usize {
-        self.admitted.load(Ordering::Relaxed) as usize
     }
 
     /// Non-blocking drain of responses completed so far.  Drained responses
@@ -437,56 +374,34 @@ impl Server {
             admitted,
             "every admitted request must complete exactly once"
         );
+        // Per-model cold-start rows, whenever paging or multi-tenancy is in
+        // play (single-model no-memory reports keep the legacy shape).
+        let models: Vec<(String, ModelPagingStats)> =
+            if self.memory.is_some() || self.models.len() > 1 {
+                let paging = self
+                    .memory
+                    .as_ref()
+                    .map(|cache| cache.lock().expect("tile cache poisoned").model_stats().clone())
+                    .unwrap_or_default();
+                self.models
+                    .iter()
+                    .enumerate()
+                    .map(|(id, m)| (m.name.clone(), paging.get(&id).cloned().unwrap_or_default()))
+                    .collect()
+            } else {
+                Vec::new()
+            };
         let backend_plan =
             self.models[0].session.layer_backends().iter().map(|name| name.to_string()).collect();
-        let mut report = ServeReport::from_observations(
+        let report = ServeReport::from_observations(
             &observations,
             &shed,
             &self.classes,
+            &models,
             self.started.elapsed(),
             worker_stats,
         )
         .with_backend_plan(backend_plan);
-        // Per-model cold-start rows, whenever paging or multi-tenancy is in
-        // play (single-model no-memory reports keep the legacy shape).
-        if self.memory.is_some() || self.models.len() > 1 {
-            let paging = self
-                .memory
-                .as_ref()
-                .map(|cache| cache.lock().expect("tile cache poisoned").model_stats().clone())
-                .unwrap_or_default();
-            let model_stats = self
-                .models
-                .iter()
-                .enumerate()
-                .map(|(id, runtime)| {
-                    let warm: Vec<f64> = observations
-                        .iter()
-                        .filter(|o| o.model == id && !o.cold)
-                        .map(|o| o.latency_s)
-                        .collect();
-                    let cold: Vec<f64> = observations
-                        .iter()
-                        .filter(|o| o.model == id && o.cold)
-                        .map(|o| o.latency_s)
-                        .collect();
-                    let paged = paging.get(&id).cloned().unwrap_or_default();
-                    ModelStats {
-                        model: id,
-                        name: runtime.name.clone(),
-                        completed: warm.len() + cold.len(),
-                        cold: cold.len(),
-                        warm_latency: LatencySummary::from_samples(warm),
-                        cold_latency: LatencySummary::from_samples(cold),
-                        tile_hits: paged.hits,
-                        tile_misses: paged.misses,
-                        bytes_paged: paged.bytes_transferred,
-                        transfer_sim_s: paged.transfer_seconds,
-                    }
-                })
-                .collect();
-            report = report.with_model_stats(model_stats);
-        }
         (report, responses)
     }
 }
@@ -502,7 +417,7 @@ fn worst_case_dwell(models: &[ModelRuntime], max_batch: usize) -> DwellModel {
     )
 }
 
-/// Error returned by [`Server::submit`] once shutdown has begun.
+/// Error returned by [`Server::submit_model`] once shutdown has begun.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServerClosed;
 
@@ -514,109 +429,35 @@ impl std::fmt::Display for ServerClosed {
 
 impl std::error::Error for ServerClosed {}
 
-/// Closed-loop harness: submit every payload (blocking on backpressure),
-/// then shut down and report.  This is what the peak-throughput benchmark
-/// and the example drive.
-pub fn serve_closed_loop(
-    session: Arc<InferenceSession>,
-    config: ServeConfig,
-    payloads: Vec<Vec<f32>>,
-) -> (ServeReport, Vec<InferenceResponse>) {
-    let server = Server::start(session, config);
-    for payload in payloads {
-        server.submit(payload).expect("closed-loop submit before shutdown");
-    }
-    server.shutdown()
-}
-
-/// Open-loop harness: replay a `tw-models` traffic schedule on its own
-/// clock — each [`Arrival`] is submitted at its offset from the start of
-/// the run — then shut down and report.  Requests refused by admission
-/// control appear in the report's shed accounting; the submission loop
-/// never blocks on them.
+/// The serving harness: replays `schedule` into an already-started
+/// `server` on the schedule's own clock ([`tw_models::pace`]), sending
+/// arrival `i` to model `models[i % models.len()]`, then shuts down and
+/// reports.  Whether the server hosts one model ([`Server::start`]) or
+/// several ([`Server::start_registry`]) is the caller's choice.
 ///
-/// The open-loop contract holds exactly when admission control is active
-/// (submission then never blocks).  With admission *inactive*, a full
-/// queue falls back to blocking backpressure ([`Server::submit_to`]'s
-/// documented behavior), and arrivals behind the stall slip later than
-/// their scheduled offsets — so size `queue_capacity` for the offered
-/// load, or activate admission, when the arrival clock must be honored
-/// under overload.
+/// A [`tw_models::closed_loop`] schedule (everything due at once) against
+/// a server without admission control measures peak throughput: each
+/// submission blocks while the queue is full.  An open-loop schedule keeps
+/// its arrival clock exactly when admission control is active (submission
+/// then never blocks, requests are shed instead); with admission inactive,
+/// arrivals behind a full queue slip later than their offsets — so size
+/// `queue_capacity` for the offered load, or activate admission, when the
+/// clock must be honored under overload.
 ///
 /// # Panics
-/// Panics if an arrival's class is outside the configured class list or a
-/// payload does not match the model's input dim.
-pub fn serve_open_loop(
-    session: Arc<InferenceSession>,
-    config: ServeConfig,
+/// Panics on an empty `models` list, or arrivals whose class, model or
+/// payload does not fit the server (see [`Server::submit_model`]).
+pub fn drive(
+    server: Server,
     schedule: &[Arrival],
+    models: &[ModelId],
 ) -> (ServeReport, Vec<InferenceResponse>) {
-    let server = Server::start(session, config);
-    let started = Instant::now();
-    for arrival in schedule {
-        let target = started + arrival.at;
-        let now = Instant::now();
-        if target > now {
-            std::thread::sleep(target - now);
-        }
+    assert!(!models.is_empty(), "model assignment cannot be empty");
+    tw_models::pace(schedule, |i, arrival| {
         server
-            .submit_to(arrival.class, arrival.payload.clone())
-            .expect("open-loop submit before shutdown");
-    }
-    server.shutdown()
-}
-
-/// [`serve_closed_loop`] over a multi-model registry: payload `i` targets
-/// `assignment[i % assignment.len()]` under blocking backpressure.  The
-/// same backpressure contract as the single-model harness applies.
-///
-/// # Panics
-/// Panics on an empty assignment, or payloads/models that do not fit the
-/// registry (see [`Server::submit_model`]).
-pub fn serve_closed_loop_models(
-    registry: ModelRegistry,
-    config: ServeConfig,
-    payloads: Vec<Vec<f32>>,
-    assignment: &[ModelId],
-) -> (ServeReport, Vec<InferenceResponse>) {
-    assert!(!assignment.is_empty(), "model assignment cannot be empty");
-    let server = Server::start_registry(registry, config);
-    for (i, payload) in payloads.into_iter().enumerate() {
-        server
-            .submit_model(assignment[i % assignment.len()], 0, payload)
-            .expect("closed-loop submit before shutdown");
-    }
-    server.shutdown()
-}
-
-/// [`serve_open_loop`] over a multi-model registry: arrival `i` targets
-/// `assignment[i % assignment.len()]` at its scheduled offset.  The same
-/// arrival-clock caveat as the single-model harness applies: activate
-/// admission control, or size `queue_capacity` for the offered load, when
-/// the clock must be honored under overload.
-///
-/// # Panics
-/// Panics on an empty assignment, or arrivals whose class, model or
-/// payload does not fit the config.
-pub fn serve_open_loop_models(
-    registry: ModelRegistry,
-    config: ServeConfig,
-    schedule: &[Arrival],
-    assignment: &[ModelId],
-) -> (ServeReport, Vec<InferenceResponse>) {
-    assert!(!assignment.is_empty(), "model assignment cannot be empty");
-    let server = Server::start_registry(registry, config);
-    let started = Instant::now();
-    for (i, arrival) in schedule.iter().enumerate() {
-        let target = started + arrival.at;
-        let now = Instant::now();
-        if target > now {
-            std::thread::sleep(target - now);
-        }
-        server
-            .submit_model(assignment[i % assignment.len()], arrival.class, arrival.payload.clone())
-            .expect("open-loop submit before shutdown");
-    }
+            .submit_model(models[i % models.len()], arrival.class, arrival.payload.clone())
+            .expect("submit before shutdown");
+    });
     server.shutdown()
 }
 
@@ -625,7 +466,7 @@ mod tests {
     use super::*;
     use std::time::Duration;
     use tilewise::Backend;
-    use tw_models::{RequestGenerator, TrafficSpec};
+    use tw_models::{closed_loop, RequestGenerator, TrafficSpec};
 
     fn session(backend: Backend) -> Arc<InferenceSession> {
         Arc::new(InferenceSession::synthetic_chain(&[24, 32, 12], 0.5, 8, 17, backend))
@@ -644,10 +485,12 @@ mod tests {
 
     #[test]
     fn closed_loop_serves_every_request_exactly_once() {
+        // 100 requests through a 64-slot queue without admission control:
+        // submission blocks on the full queue instead of shedding.
         let mut generator = RequestGenerator::new(24, 1.0, 5);
-        let payloads = generator.payloads(100);
-        let (report, responses) =
-            serve_closed_loop(session(Backend::TileWise), quick_config(2), payloads);
+        let schedule = closed_loop(generator.payloads(100));
+        let server = Server::start(session(Backend::TileWise), quick_config(2));
+        let (report, responses) = drive(server, &schedule, &[0]);
         assert_eq!(report.completed, 100);
         assert_eq!(report.shed, 0);
         let mut ids: Vec<u64> = responses.iter().map(|r| r.id).collect();
@@ -669,10 +512,27 @@ mod tests {
     }
 
     #[test]
+    fn drive_cycles_the_model_assignment() {
+        let mut registry = ModelRegistry::new();
+        registry.register("a", 1, session(Backend::TileWise));
+        registry.register("b", 1, session(Backend::Dense));
+        let mut generator = RequestGenerator::new(24, 1.0, 8);
+        let schedule = closed_loop(generator.payloads(30));
+        let server = Server::start_registry(registry, quick_config(1));
+        let (report, responses) = drive(server, &schedule, &[0, 0, 1]);
+        let served = |model| responses.iter().filter(|r| r.model == model).count();
+        assert_eq!((served(0), served(1)), (20, 10));
+        // Request ids follow submission order, so the assignment is exact.
+        assert!(responses.iter().all(|r| r.model == usize::from(r.id % 3 == 2)));
+        let rows: Vec<(&str, usize)> =
+            report.models.iter().map(|m| (m.name.as_str(), m.completed)).collect();
+        assert_eq!(rows, [("a@v1", 20), ("b@v1", 10)]);
+    }
+
+    #[test]
     fn submit_after_shutdown_is_rejected() {
         let server = Server::start(session(Backend::Dense), quick_config(1));
-        let id = server.submit(vec![0.0; 24]).unwrap();
-        assert_eq!(id, 0);
+        assert_eq!(server.submit_to(0, vec![0.0; 24]), Ok(Admission::Admitted(0)));
         let queue = Arc::clone(&server.queue);
         let (report, _) = server.shutdown();
         assert_eq!(report.completed, 1);
@@ -683,7 +543,7 @@ mod tests {
     #[should_panic(expected = "payload length")]
     fn malformed_payload_rejected_at_admission() {
         let server = Server::start(session(Backend::Dense), quick_config(1));
-        let _ = server.submit(vec![0.0; 3]);
+        let _ = server.submit_to(0, vec![0.0; 3]);
     }
 
     #[test]
@@ -697,7 +557,7 @@ mod tests {
     fn drain_responses_streams_results() {
         let server = Server::start(session(Backend::TileWise), quick_config(1));
         for _ in 0..10 {
-            server.submit(vec![0.25; 24]).unwrap();
+            server.submit_to(0, vec![0.25; 24]).unwrap();
         }
         // Poll until the pipeline has pushed everything through.
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -735,17 +595,17 @@ mod tests {
         for _ in 0..40 {
             server.submit_to(1, vec![0.1; 24]).unwrap();
         }
-        let (total, batch_ahead) = server.class_depths(1);
-        let (_, interactive_ahead) = server.class_depths(0);
+        let (total, batch_ahead, batch_wait) = server.routing_probe(1);
+        let (_, interactive_ahead, interactive_wait) = server.routing_probe(0);
         assert!(total >= 30, "backlog should be visible, saw {total}");
         assert!(interactive_ahead < batch_ahead, "interactive lane jumps the batch wall");
         // The cost-aware probe prices the backlog: a batch-lane arrival
         // waits behind full batches, an interactive arrival behind none.
-        assert!(server.predicted_wait(1) > Duration::ZERO);
-        assert_eq!(server.predicted_wait(0), Duration::ZERO);
-        assert_eq!(server.admitted_so_far(), 40);
+        assert!(batch_wait > Duration::ZERO);
+        assert_eq!(interactive_wait, Duration::ZERO);
         let (report, _) = server.shutdown();
-        assert_eq!(report.completed, 40);
+        assert_eq!((report.completed, report.shed), (40, 0));
+        assert_eq!((report.classes[0].completed, report.classes[1].completed), (0, 40));
     }
 
     #[test]
@@ -753,7 +613,7 @@ mod tests {
         // With a dwell that dominates CPU time, quadrupling the workers must
         // cut wall time noticeably — the core serving-tier property.
         let mut generator = RequestGenerator::new(24, 1.0, 9);
-        let payloads = generator.payloads(64);
+        let schedule = closed_loop(generator.payloads(64));
         let dwell_cfg = |workers| ServeConfig {
             workers,
             max_batch_size: 4,
@@ -763,9 +623,10 @@ mod tests {
             gpu_dwell: Some(GpuDwell { time_scale: 2e3 }),
             ..ServeConfig::default()
         };
-        let (one, _) =
-            serve_closed_loop(session(Backend::TileWise), dwell_cfg(1), payloads.clone());
-        let (four, _) = serve_closed_loop(session(Backend::TileWise), dwell_cfg(4), payloads);
+        let run = |workers| {
+            drive(Server::start(session(Backend::TileWise), dwell_cfg(workers)), &schedule, &[0]).0
+        };
+        let (one, four) = (run(1), run(4));
         assert_eq!(one.completed, 64);
         assert_eq!(four.completed, 64);
         assert!(
@@ -781,7 +642,6 @@ mod tests {
         // A tiny shed threshold under a fast schedule: many submissions
         // must shed, and completed + shed must cover every issued id.
         let spec = TrafficSpec::steady(4000.0, Duration::from_millis(30), 200, 24, 3);
-        let schedule = spec.schedule();
         let config = ServeConfig {
             workers: 1,
             max_batch_size: 4,
@@ -792,7 +652,8 @@ mod tests {
             ..ServeConfig::default()
         }
         .with_traffic_classes(&spec.classes);
-        let (report, responses) = serve_open_loop(session(Backend::TileWise), config, &schedule);
+        let server = Server::start(session(Backend::TileWise), config);
+        let (report, responses) = drive(server, &spec.schedule(), &[0]);
         assert_eq!(report.completed + report.shed, 200, "no submission may vanish");
         assert!(report.shed > 0, "overload must shed under a depth bound of 8");
         assert!(report.completed > 0, "admitted requests must still be served");
@@ -800,16 +661,5 @@ mod tests {
         assert!(report.shed_rate() > 0.0);
         let by_class: usize = report.classes.iter().map(|c| c.submitted()).sum();
         assert_eq!(by_class, 200, "per-class breakdown covers the whole run");
-    }
-
-    #[test]
-    #[should_panic(expected = "closed-loop path")]
-    fn blocking_submit_rejected_under_admission_control() {
-        let config = ServeConfig {
-            admission: AdmissionConfig { max_queue_depth: Some(32), ..Default::default() },
-            ..quick_config(1)
-        };
-        let server = Server::start(session(Backend::Dense), config);
-        let _ = server.submit(vec![0.0; 24]);
     }
 }

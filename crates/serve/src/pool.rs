@@ -85,16 +85,6 @@ impl WorkerPool {
         Self { handles }
     }
 
-    /// Number of worker threads.
-    pub fn len(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Whether the pool has no workers (never true for a spawned pool).
-    pub fn is_empty(&self) -> bool {
-        self.handles.is_empty()
-    }
-
     /// Waits for every worker to finish and returns their counters.
     pub fn join(self) -> Vec<WorkerStats> {
         self.handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()

@@ -208,14 +208,6 @@ impl<T> PriorityQueue<T> {
         self.state.lock().expect("queue lock poisoned").len
     }
 
-    /// Number of items queued in one lane right now.
-    ///
-    /// # Panics
-    /// Panics if `lane` is out of range.
-    pub fn lane_len(&self, lane: usize) -> usize {
-        self.state.lock().expect("queue lock poisoned").lanes[lane].len()
-    }
-
     /// `(total depth, depth through lane)` under one lock: the second
     /// component counts items in lanes `0..=lane` — the backlog served
     /// *before* a new arrival on `lane`, which is what wait prediction
@@ -233,16 +225,6 @@ impl<T> PriorityQueue<T> {
     /// Whether the queue is currently empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Number of priority lanes.
-    pub fn lanes(&self) -> usize {
-        self.state.lock().expect("queue lock poisoned").lanes.len()
-    }
-
-    /// Maximum number of queued items across all lanes.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 }
 
@@ -278,7 +260,6 @@ mod tests {
         // Lane 0 first, then lane 1 FIFO, then lane 2 FIFO.
         let drained: Vec<u64> = std::iter::from_fn(|| q.try_pop()).collect();
         assert_eq!(drained, vec![0, 10, 11, 20, 21]);
-        assert_eq!(q.lanes(), 3);
     }
 
     #[test]
@@ -291,7 +272,7 @@ mod tests {
         assert_eq!(q.depths(0), (5, 1), "one item is ahead of a new lane-0 arrival");
         assert_eq!(q.depths(1), (5, 5), "everything is ahead of a new lane-1 arrival");
         assert_eq!(q.try_pop(), Some(1), "interactive must jump the batch backlog");
-        assert_eq!(q.lane_len(1), 4);
+        assert_eq!(q.depths(1), (4, 4));
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use crate::config::ClassPolicy;
 use crate::request::{InferenceResponse, ShedRecord};
 use std::time::Duration;
+use tw_memory::ModelPagingStats;
 
 /// Order statistics over a set of request latencies.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -133,19 +134,30 @@ impl ClassStats {
 
     /// Fraction of this class's submissions that were shed.
     pub fn shed_rate(&self) -> f64 {
-        if self.submitted() == 0 {
-            return 0.0;
-        }
-        self.shed as f64 / self.submitted() as f64
+        fraction(self.shed, self.submitted())
     }
 
     /// Fraction of completions that beat the SLO (1.0 for best-effort
     /// classes).
     pub fn hit_rate(&self) -> f64 {
-        if self.completed == 0 {
-            return 0.0;
-        }
-        self.good as f64 / self.completed as f64
+        fraction(self.good, self.completed)
+    }
+
+    /// The one-line view of this class — completions, sheds, SLO hit rate
+    /// and latency percentiles — shared by the single-server and cluster
+    /// report printers.
+    pub fn summary_line(&self) -> String {
+        format!(
+            "class {} ({}): {} completed, {} shed ({:.1}%), hit rate {:.1}% | p50 {:.2}ms p99 {:.2}ms",
+            self.class,
+            self.name,
+            self.completed,
+            self.shed,
+            self.shed_rate() * 100.0,
+            self.hit_rate() * 100.0,
+            self.latency.p50_s * 1e3,
+            self.latency.p99_s * 1e3,
+        )
     }
 }
 
@@ -190,10 +202,7 @@ impl ModelStats {
 
     /// Fraction of completions that rode a cold batch.
     pub fn cold_rate(&self) -> f64 {
-        if self.completed == 0 {
-            return 0.0;
-        }
-        self.cold as f64 / self.completed as f64
+        fraction(self.cold, self.completed)
     }
 
     /// The one-line cold-start view of this model — shared by the
@@ -248,13 +257,68 @@ pub struct ServeReport {
     pub backend_plan: Vec<String>,
 }
 
-impl ServeReport {
-    /// Builds a report from collected responses and worker counters.
-    pub fn new(responses: &[InferenceResponse], wall: Duration, workers: Vec<WorkerStats>) -> Self {
-        let samples: Vec<f64> = responses.iter().map(|r| r.latency.as_secs_f64()).collect();
-        Self::from_latencies(samples, wall, workers)
-    }
+/// The statistics a server and a fleet both report, built from the same
+/// inputs so the two cannot drift: latency order statistics over every
+/// completion, one row per class (sheds taken from `class_shed`, indexed
+/// like `classes`), and one cold/warm row per entry of `models` — the
+/// model's name and paging counters, in [`RunObservation::model`] order.
+/// Pass no models for the legacy single-model shape without model rows.
+///
+/// # Panics
+/// Panics if `class_shed` and `classes` differ in length.
+pub fn summarize(
+    observations: &[RunObservation],
+    classes: &[ClassPolicy],
+    class_shed: &[usize],
+    models: &[(String, ModelPagingStats)],
+) -> (LatencySummary, Vec<ClassStats>, Vec<ModelStats>) {
+    assert_eq!(class_shed.len(), classes.len(), "one shed count per class");
+    let latencies = |keep: &dyn Fn(&RunObservation) -> bool| -> Vec<f64> {
+        observations.iter().filter(|o| keep(o)).map(|o| o.latency_s).collect()
+    };
+    let class_rows = classes
+        .iter()
+        .zip(class_shed)
+        .enumerate()
+        .map(|(id, (policy, &shed))| {
+            let samples = latencies(&|o| o.class == id);
+            ClassStats {
+                class: id,
+                name: policy.name.clone(),
+                completed: samples.len(),
+                shed,
+                good: observations
+                    .iter()
+                    .filter(|o| o.class == id && o.deadline_met != Some(false))
+                    .count(),
+                latency: LatencySummary::from_samples(samples),
+            }
+        })
+        .collect();
+    let model_rows = models
+        .iter()
+        .enumerate()
+        .map(|(id, (name, paged))| {
+            let warm = latencies(&|o| o.model == id && !o.cold);
+            let cold = latencies(&|o| o.model == id && o.cold);
+            ModelStats {
+                model: id,
+                name: name.clone(),
+                completed: warm.len() + cold.len(),
+                cold: cold.len(),
+                warm_latency: LatencySummary::from_samples(warm),
+                cold_latency: LatencySummary::from_samples(cold),
+                tile_hits: paged.hits,
+                tile_misses: paged.misses,
+                bytes_paged: paged.bytes_transferred,
+                transfer_sim_s: paged.transfer_seconds,
+            }
+        })
+        .collect();
+    (LatencySummary::from_samples(latencies(&|_| true)), class_rows, model_rows)
+}
 
+impl ServeReport {
     /// Builds a class-blind report from raw latency samples (seconds) and
     /// worker counters.
     pub fn from_latencies(
@@ -282,52 +346,34 @@ impl ServeReport {
         }
     }
 
-    /// Builds the full per-class report the server emits: one observation
-    /// per completion (streamed-out or final), the shed log, and the class
-    /// policies for naming.
+    /// Builds the full report the server emits: one observation per
+    /// completion (streamed-out or final), the shed log, the class
+    /// policies, and the hosted models' names and paging counters (see
+    /// [`summarize`]).
     pub fn from_observations(
         observations: &[RunObservation],
         shed: &[ShedRecord],
         classes: &[ClassPolicy],
+        models: &[(String, ModelPagingStats)],
         wall: Duration,
         workers: Vec<WorkerStats>,
     ) -> Self {
-        let class_stats: Vec<ClassStats> = classes
-            .iter()
-            .enumerate()
-            .map(|(id, policy)| {
-                let samples: Vec<f64> =
-                    observations.iter().filter(|o| o.class == id).map(|o| o.latency_s).collect();
-                let good = observations
-                    .iter()
-                    .filter(|o| o.class == id && o.deadline_met != Some(false))
-                    .count();
-                ClassStats {
-                    class: id,
-                    name: policy.name.clone(),
-                    completed: samples.len(),
-                    shed: shed.iter().filter(|s| s.class == id).count(),
-                    good,
-                    latency: LatencySummary::from_samples(samples),
-                }
-            })
-            .collect();
-        let all: Vec<f64> = observations.iter().map(|o| o.latency_s).collect();
-        let mut report = Self::from_latencies(all, wall, workers);
-        report.shed = shed.len();
-        report.classes = class_stats;
-        report
+        let class_shed: Vec<usize> =
+            (0..classes.len()).map(|id| shed.iter().filter(|s| s.class == id).count()).collect();
+        let (latency, classes, models) = summarize(observations, classes, &class_shed, models);
+        Self {
+            completed: observations.len(),
+            shed: shed.len(),
+            latency,
+            classes,
+            models,
+            ..Self::from_latencies(Vec::new(), wall, workers)
+        }
     }
 
     /// Attaches the served model's per-layer backend plan to the report.
     pub fn with_backend_plan(mut self, backend_plan: Vec<String>) -> Self {
         self.backend_plan = backend_plan;
-        self
-    }
-
-    /// Attaches per-model breakdowns (multi-model / paging servers).
-    pub fn with_model_stats(mut self, models: Vec<ModelStats>) -> Self {
-        self.models = models;
         self
     }
 
@@ -348,19 +394,12 @@ impl ServeReport {
 
     /// Fraction of submissions (completed + shed) refused by admission.
     pub fn shed_rate(&self) -> f64 {
-        let submitted = self.completed + self.shed;
-        if submitted == 0 {
-            return 0.0;
-        }
-        self.shed as f64 / submitted as f64
+        fraction(self.shed, self.completed + self.shed)
     }
 
     /// Mean number of requests fused per batch.
     pub fn mean_batch_size(&self) -> f64 {
-        if self.batches == 0 {
-            return 0.0;
-        }
-        self.completed as f64 / self.batches as f64
+        fraction(self.completed, self.batches)
     }
 
     /// One human-readable summary line per run.
@@ -397,36 +436,19 @@ impl ServeReport {
             self.sim_gpu_s,
         )
     }
+}
 
-    /// One line per class: completions, sheds, SLO hit rate and latency
-    /// percentiles — the per-class view the scenario benchmarks print.
-    pub fn class_summary(&self) -> Vec<String> {
-        self.classes
-            .iter()
-            .map(|c| {
-                format!(
-                    "class {} ({}): {} completed, {} shed ({:.1}%), hit rate {:.1}% | p50 {:.2}ms p99 {:.2}ms",
-                    c.class,
-                    c.name,
-                    c.completed,
-                    c.shed,
-                    c.shed_rate() * 100.0,
-                    c.hit_rate() * 100.0,
-                    c.latency.p50_s * 1e3,
-                    c.latency.p99_s * 1e3,
-                )
-            })
-            .collect()
-    }
-
-    /// One line per model: cold vs warm latency, tile hit rate and paging
-    /// traffic — the cold-start view the multi-model benchmarks print.
-    pub fn model_summary(&self) -> Vec<String> {
-        self.models.iter().map(ModelStats::summary_line).collect()
+/// `part / whole`, or zero when `whole` is zero.
+pub fn fraction(part: usize, whole: usize) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        part as f64 / whole as f64
     }
 }
 
-fn per_second(count: usize, wall: Duration) -> f64 {
+/// `count` events per second of `wall` (zero for an empty span).
+pub fn per_second(count: usize, wall: Duration) -> f64 {
     let secs = wall.as_secs_f64();
     if secs <= 0.0 {
         return 0.0;
@@ -467,19 +489,7 @@ mod tests {
 
     #[test]
     fn report_aggregates_workers() {
-        let responses: Vec<InferenceResponse> = (0..10)
-            .map(|i| InferenceResponse {
-                id: i,
-                output: vec![0.0],
-                latency: Duration::from_millis(10 + i),
-                batch_size: 5,
-                worker: (i % 2) as usize,
-                class: 0,
-                model: 0,
-                cold: false,
-                deadline_met: None,
-            })
-            .collect();
+        let latencies: Vec<f64> = (0..10).map(|i| (10 + i) as f64 * 1e-3).collect();
         let workers = vec![
             WorkerStats {
                 worker: 0,
@@ -499,7 +509,7 @@ mod tests {
                 ..Default::default()
             },
         ];
-        let report = ServeReport::new(&responses, Duration::from_secs(2), workers)
+        let report = ServeReport::from_latencies(latencies, Duration::from_secs(2), workers)
             .with_backend_plan(vec!["tile-wise".into(), "csr".into()]);
         assert_eq!(report.completed, 10);
         assert!(report.summary().contains("plan [tile-wise,csr]"));
@@ -560,6 +570,7 @@ mod tests {
             &observations,
             &shed,
             &classes,
+            &[],
             Duration::from_secs(1),
             Vec::new(),
         );
@@ -584,31 +595,12 @@ mod tests {
         assert_eq!(batch.good, 2, "best-effort completions all count as good");
         assert!(batch.latency.p99_s >= interactive.latency.p99_s);
 
-        let lines = report.class_summary();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("interactive"));
+        let line = interactive.summary_line();
+        assert!(
+            line.contains("(interactive): 2 completed, 1 shed (33.3%), hit rate 50.0%"),
+            "{line}"
+        );
         assert!(report.summary().contains("shed 3"));
-    }
-
-    #[test]
-    fn observation_of_response_carries_class_model_and_outcome() {
-        let response = InferenceResponse {
-            id: 1,
-            output: Vec::new(),
-            latency: Duration::from_millis(30),
-            batch_size: 4,
-            worker: 0,
-            class: 1,
-            model: 2,
-            cold: true,
-            deadline_met: Some(true),
-        };
-        let obs = RunObservation::of(&response);
-        assert_eq!(obs.class, 1);
-        assert_eq!(obs.model, 2);
-        assert!(obs.cold);
-        assert_eq!(obs.deadline_met, Some(true));
-        assert!((obs.latency_s - 0.030).abs() < 1e-9);
     }
 
     #[test]
@@ -627,14 +619,10 @@ mod tests {
         };
         assert!((stats.tile_hit_rate() - 0.9).abs() < 1e-12);
         assert!((stats.cold_rate() - 0.4).abs() < 1e-12);
-        let report =
-            ServeReport::from_latencies(vec![0.002; 10], Duration::from_secs(1), Vec::new())
-                .with_model_stats(vec![stats]);
-        let lines = report.model_summary();
-        assert_eq!(lines.len(), 1);
-        assert!(lines[0].contains("bert"), "{}", lines[0]);
-        assert!(lines[0].contains("4 cold"), "{}", lines[0]);
-        assert!(lines[0].contains("tile hit 90.0%"), "{}", lines[0]);
+        let line = stats.summary_line();
+        assert!(line.contains("bert"), "{line}");
+        assert!(line.contains("4 cold"), "{line}");
+        assert!(line.contains("tile hit 90.0%"), "{line}");
         // A model never paged reports a perfect hit rate, not a 0/0 NaN.
         let untouched = ModelStats {
             model: 1,

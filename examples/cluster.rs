@@ -48,15 +48,15 @@ fn main() {
             ClusterConfig { queue_capacity: schedule.len(), balancer, ..ClusterConfig::default() }
                 .with_traffic_classes(&spec.classes);
         let mut cluster = Cluster::start(tiles.clone(), specs.clone(), config);
-        cluster.replay(&schedule);
+        cluster.replay(&schedule, &[0]);
         let report = cluster.shutdown();
 
         println!("{}", report.summary());
         for line in report.replica_summary() {
             println!("  {line}");
         }
-        for line in report.class_summary() {
-            println!("  {line}");
+        for class in &report.classes {
+            println!("  {}", class.summary_line());
         }
         println!();
         interactive_p99.push((report.balancer.clone(), report.classes[0].latency.p99_s * 1e3));

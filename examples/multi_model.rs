@@ -64,15 +64,12 @@ fn main() {
     // Traffic switches model every 32 requests: the first batch after each
     // switch pages tiles in (cold), the rest run warm.
     let mut generator = RequestGenerator::new(dims[0], 1.0, 3);
-    for (i, payload) in generator.payloads(512).into_iter().enumerate() {
-        let model = (i / 32) % 2;
-        server.submit_model(model, 0, payload).expect("submit");
-    }
-    let (report, _) = server.shutdown();
+    let assignment: Vec<usize> = [0, 1].iter().flat_map(|&model| [model; 32]).collect();
+    let (report, _) = drive(server, &closed_loop(generator.payloads(512)), &assignment);
 
     println!("\n{}", report.summary());
-    for line in report.model_summary() {
-        println!("  {line}");
+    for model in &report.models {
+        println!("  {}", model.summary_line());
     }
     println!(
         "\npaged {:.1} KiB total over PCIe ({:.1}x the combined footprint — that is the thrash a residency-aware cluster router avoids; see `--balancer residency` in the serving benchmark)",

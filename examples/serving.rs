@@ -25,16 +25,16 @@ fn main() {
         .with_gpu_dwell(GpuDwell { time_scale: 1e3 });
     let server = Server::start(Arc::clone(&session), config);
 
-    // 3. A closed-loop burst of 500 synthetic requests.
+    // 3. A closed-loop burst of 500 synthetic requests, submitted under
+    //    blocking backpressure; the server then shuts down (draining the
+    //    queue) and reports.  Ids follow submission order, so the first
+    //    payload is request 0.
     let mut generator = RequestGenerator::new(session.input_dim(), 1.0, 7);
-    let check_payload = generator.next_payload();
-    let check_id = server.submit(check_payload.clone()).expect("server accepting");
-    for payload in generator.take(499) {
-        server.submit(payload).expect("server accepting");
-    }
+    let payloads = generator.payloads(500);
+    let (check_id, check_payload) = (0, payloads[0].clone());
+    let (report, responses) = drive(server, &closed_loop(payloads), &[0]);
 
-    // 4. Shut down (drains the queue) and inspect the report.
-    let (report, responses) = server.shutdown();
+    // 4. Inspect the report.
     println!("{}", report.summary());
     for w in &report.workers {
         println!(

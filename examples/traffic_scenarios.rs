@@ -41,7 +41,7 @@ fn main() {
         // Pass 1: no admission control — everything queues, latency absorbs
         // the overload.
         let schedule = spec.schedule();
-        let (queued, _) = serve_open_loop(Arc::clone(&session), base.clone(), &schedule);
+        let (queued, _) = drive(Server::start(Arc::clone(&session), base.clone()), &schedule, &[0]);
 
         // Pass 2: SLO-aware admission — shed what cannot meet its deadline
         // or would sit behind a too-deep backlog.
@@ -50,16 +50,19 @@ fn main() {
             shed_hopeless: true,
             ..Default::default()
         };
-        let (shedding, _) =
-            serve_open_loop(Arc::clone(&session), base.with_admission(admission), &schedule);
+        let (shedding, _) = drive(
+            Server::start(Arc::clone(&session), base.with_admission(admission)),
+            &schedule,
+            &[0],
+        );
 
         println!("== {name} | no admission control: {}", queued.summary());
-        for line in queued.class_summary() {
-            println!("     {line}");
+        for class in &queued.classes {
+            println!("     {}", class.summary_line());
         }
         println!("   {name} | SLO-aware admission:  {}", shedding.summary());
-        for line in shedding.class_summary() {
-            println!("     {line}");
+        for class in &shedding.classes {
+            println!("     {}", class.summary_line());
         }
         let interactive_queued = queued.classes[0].latency.p99_s * 1e3;
         let interactive_shed = shedding.classes[0].latency.p99_s * 1e3;

@@ -75,12 +75,13 @@ pub mod prelude {
         EvictionPolicy, MemoryPool, ModelRegistry, PolicyKind, TileCache, TileKey, WeightTile,
     };
     pub use tw_models::{
-        Arrival, ArrivalProcess, ModelKind, RequestGenerator, TrafficClass, TrafficSpec, Workload,
+        closed_loop, Arrival, ArrivalProcess, ModelKind, RequestGenerator, TrafficClass,
+        TrafficSpec, Workload,
     };
     pub use tw_pruning::{ImportanceScores, PruningPattern, SparsityTarget};
     pub use tw_serve::{
-        serve_closed_loop, serve_open_loop, Admission, AdmissionConfig, ClassPolicy, GpuDwell,
-        MemoryConfig, ServeConfig, ServeReport, Server, ShedReason,
+        drive, Admission, AdmissionConfig, ClassPolicy, GpuDwell, MemoryConfig, ServeConfig,
+        ServeReport, Server, ShedReason,
     };
     pub use tw_sparse::{CscMatrix, CsrMatrix};
     pub use tw_tensor::{gemm, Matrix};

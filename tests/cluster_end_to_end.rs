@@ -39,7 +39,7 @@ fn run_policy(
     }
     .with_traffic_classes(classes);
     let mut cluster = Cluster::start(tiles.to_vec(), specs.to_vec(), config);
-    cluster.replay(schedule);
+    cluster.replay(schedule, &[0]);
     cluster.shutdown()
 }
 
@@ -169,7 +169,7 @@ fn every_policy_conserves_ids_under_shedding_and_autoscaling() {
             ReplicaSpec::v100("r1", 2, Backend::Auto, 2e3).on(GpuDevice::a100_like()),
         ];
         let mut cluster = Cluster::start(tiles.clone(), specs, config);
-        cluster.replay(&schedule);
+        cluster.replay(&schedule, &[0]);
         let report = cluster.shutdown();
         assert_conserved(&report, schedule.len());
         assert!(report.shed > 0, "[{balancer}] a 4000 rps burst against depth-12 queues must shed");

@@ -99,7 +99,7 @@ fn interactive_p99_beats_batch_p99_under_mixed_priority_load() {
         ..ServeConfig::default()
     }
     .with_traffic_classes(&spec.classes);
-    let (report, _) = serve_open_loop(Arc::clone(&session), config, &spec.schedule());
+    let (report, _) = drive(Server::start(Arc::clone(&session), config), &spec.schedule(), &[0]);
 
     assert_eq!(report.completed, 400, "no admission control: everything completes");
     let interactive = &report.classes[0];
@@ -139,7 +139,11 @@ fn priority_scheduling_keeps_steady_goodput_within_ten_percent_of_fifo() {
     let mut last = (0.0, 0.0, 0.0);
     for _attempt in 0..3 {
         // FIFO reference: the default single best-effort class.
-        let (fifo, _) = serve_closed_loop(Arc::clone(&session), base.clone(), payloads.clone());
+        let (fifo, _) = drive(
+            Server::start(Arc::clone(&session), base.clone()),
+            &closed_loop(payloads.clone()),
+            &[0],
+        );
 
         // Priority server: same load, everything submitted as the batch
         // class, with a generous interactive lane configured alongside.
@@ -189,7 +193,7 @@ fn shutdown_drains_deterministically_across_interleavings() {
         let n = 40 + (round as usize % 3) * 7;
         let mut generator = RequestGenerator::new(24, 1.0, round);
         for payload in generator.payloads(n) {
-            server.submit(payload).unwrap();
+            server.submit_to(0, payload).unwrap();
         }
         // Race the shutdown against in-flight work, sometimes pre-draining
         // a prefix of the responses.

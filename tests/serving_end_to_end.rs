@@ -45,7 +45,8 @@ fn batched_sparse_serving_matches_unbatched_dense_inference() {
     let by_submission: Vec<Vec<f32>> = payloads.clone();
 
     let config = ServeConfig::default().with_workers(3).with_batching(16, Duration::from_millis(1));
-    let (report, responses) = serve_closed_loop(Arc::clone(&tw_session), config, payloads);
+    let (report, responses) =
+        drive(Server::start(Arc::clone(&tw_session), config), &closed_loop(payloads), &[0]);
 
     assert_eq!(report.completed, 200);
     // Ids are assigned in submission order, so id i corresponds to payload i.
@@ -85,8 +86,11 @@ fn bsr_and_auto_backends_serve_dense_results() {
     let cfg = ServeConfig::default().with_workers(2).with_batching(8, Duration::from_millis(1));
     for backend in [Backend::Bsr, Backend::Auto] {
         let session = pruned_session(3, backend);
-        let (report, responses) =
-            serve_closed_loop(Arc::clone(&session), cfg.clone(), payloads.clone());
+        let (report, responses) = drive(
+            Server::start(Arc::clone(&session), cfg.clone()),
+            &closed_loop(payloads.clone()),
+            &[0],
+        );
         assert_eq!(report.completed, 60, "{backend} lost requests");
         assert_eq!(report.backend_plan.len(), session.num_layers());
         for name in &report.backend_plan {
@@ -113,9 +117,12 @@ fn csr_backend_serves_the_same_results() {
     let mut generator = RequestGenerator::new(tw_session.input_dim(), 1.0, 3);
     let payloads = generator.payloads(40);
     let cfg = ServeConfig::default().with_workers(2).with_batching(8, Duration::from_millis(1));
-    let (_, tw_responses) =
-        serve_closed_loop(Arc::clone(&tw_session), cfg.clone(), payloads.clone());
-    let (_, csr_responses) = serve_closed_loop(csr_session, cfg, payloads);
+    let (_, tw_responses) = drive(
+        Server::start(Arc::clone(&tw_session), cfg.clone()),
+        &closed_loop(payloads.clone()),
+        &[0],
+    );
+    let (_, csr_responses) = drive(Server::start(csr_session, cfg), &closed_loop(payloads), &[0]);
     let tw_by_id: HashMap<u64, _> = tw_responses.iter().map(|r| (r.id, r)).collect();
     for response in &csr_responses {
         let tw_response = tw_by_id[&response.id];
@@ -134,7 +141,7 @@ fn serving_report_accounts_for_simulated_gpu_time() {
         .with_workers(2)
         .with_batching(8, Duration::from_millis(1))
         .with_gpu_dwell(GpuDwell { time_scale: 100.0 });
-    let (report, _) = serve_closed_loop(tw_session, config, payloads);
+    let (report, _) = drive(Server::start(tw_session, config), &closed_loop(payloads), &[0]);
     assert_eq!(report.completed, 64);
     // The planner priced every batch: total simulated device time is the
     // per-batch time summed over the batches actually executed.
