@@ -284,6 +284,9 @@ fn parse_args() -> Options {
     if !opts.slo_ms.is_finite() || opts.slo_ms <= 0.0 {
         fail("--slo-ms must be a positive number");
     }
+    if opts.shed_depth == Some(0) {
+        fail("--shed-depth must be at least 1");
+    }
     if let Some(budget) = opts.wait_budget_ms {
         if !budget.is_finite() || budget < 0.0 {
             fail("--wait-budget-ms must be a non-negative number");

@@ -2,8 +2,9 @@
 //! benchmarks.
 //!
 //! Every binary in `src/bin/` regenerates one figure of the paper and prints
-//! it as CSV on stdout; `EXPERIMENTS.md` records the paper-vs-measured
-//! comparison.  The Criterion benches in `benches/` measure the library
+//! it as CSV on stdout (see README's "Figure reproduction" section);
+//! `tests/figure_reproduction.rs` checks each figure's shape against the
+//! paper's claims.  The Criterion benches in `benches/` measure the library
 //! itself (kernels, pruning algorithms, planner) rather than the modelled
 //! GPU times.
 

@@ -29,8 +29,6 @@ use rand::{Rng, SeedableRng};
 /// One replica's routing snapshot, taken at submission time.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ReplicaProbe {
-    /// Index of the replica in the cluster's live list.
-    pub replica: usize,
     /// Total queued requests across all class lanes.
     pub queue_depth: usize,
     /// Queued requests in lanes of the same or higher priority than the
@@ -325,15 +323,8 @@ impl std::str::FromStr for BalancerKind {
 mod tests {
     use super::*;
 
-    fn probe(
-        replica: usize,
-        depth: usize,
-        ahead: usize,
-        wait: f64,
-        workers: usize,
-    ) -> ReplicaProbe {
+    fn probe(depth: usize, ahead: usize, wait: f64, workers: usize) -> ReplicaProbe {
         ReplicaProbe {
-            replica,
             queue_depth: depth,
             depth_ahead: ahead,
             predicted_wait_s: wait,
@@ -346,7 +337,7 @@ mod tests {
     #[test]
     fn round_robin_cycles_and_adapts_to_resizes() {
         let mut rr = RoundRobin::default();
-        let three: Vec<ReplicaProbe> = (0..3).map(|i| probe(i, 0, 0, 0.0, 1)).collect();
+        let three: Vec<ReplicaProbe> = (0..3).map(|_| probe(0, 0, 0.0, 1)).collect();
         let picks: Vec<usize> = (0..6).map(|_| rr.pick(&three)).collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
         // Shrink to two replicas mid-rotation: picks stay in range.
@@ -359,7 +350,7 @@ mod tests {
     #[test]
     fn jsq_takes_the_shallowest_queue_deterministically() {
         let mut jsq = JoinShortestQueue;
-        let probes = vec![probe(0, 9, 9, 0.0, 1), probe(1, 2, 1, 0.0, 1), probe(2, 2, 2, 0.0, 1)];
+        let probes = vec![probe(9, 9, 0.0, 1), probe(2, 1, 0.0, 1), probe(2, 2, 0.0, 1)];
         // Depth tie between 1 and 2 is broken by the smaller backlog.
         assert_eq!(jsq.pick(&probes), 1);
     }
@@ -367,7 +358,7 @@ mod tests {
     #[test]
     fn p2c_is_seed_deterministic_and_prefers_shallow_queues() {
         let probes: Vec<ReplicaProbe> =
-            (0..8).map(|i| probe(i, if i == 3 { 0 } else { 50 }, 0, 0.0, 1)).collect();
+            (0..8).map(|i| probe(if i == 3 { 0 } else { 50 }, 0, 0.0, 1)).collect();
         let picks = |seed: u64| -> Vec<usize> {
             let mut p2c = PowerOfTwoChoices::new(seed);
             (0..64).map(|_| p2c.pick(&probes)).collect()
@@ -379,7 +370,7 @@ mod tests {
         assert!(hits > 8, "p2c picked the empty replica only {hits}/64 times");
         // Both sampled indices stay in range on a two-replica fleet.
         let mut p2c = PowerOfTwoChoices::new(1);
-        let two: Vec<ReplicaProbe> = (0..2).map(|i| probe(i, 0, 0, 0.0, 1)).collect();
+        let two: Vec<ReplicaProbe> = (0..2).map(|_| probe(0, 0, 0.0, 1)).collect();
         for _ in 0..32 {
             assert!(p2c.pick(&two) < 2);
         }
@@ -390,18 +381,17 @@ mod tests {
     fn least_wait_sees_heterogeneity_where_jsq_cannot() {
         // Replica 0: shallow queue but slow (high predicted wait).
         // Replica 1: deeper queue on fast wide hardware (low wait).
-        let probes = vec![probe(0, 3, 3, 0.9, 1), probe(1, 8, 8, 0.1, 4)];
+        let probes = vec![probe(3, 3, 0.9, 1), probe(8, 8, 0.1, 4)];
         assert_eq!(JoinShortestQueue.pick(&probes), 0, "jsq only sees depth");
         assert_eq!(LeastPredictedWait.pick(&probes), 1, "least-wait prices the backlog");
         // With every wait zero (no dwell) it falls back to per-worker load.
-        let cold = vec![probe(0, 6, 6, 0.0, 1), probe(1, 8, 8, 0.0, 4)];
+        let cold = vec![probe(6, 6, 0.0, 1), probe(8, 8, 0.0, 4)];
         assert_eq!(LeastPredictedWait.pick(&cold), 1);
     }
 
     #[test]
     fn residency_prefers_warm_replicas_and_splits_ties_by_depth() {
-        let warm = |replica, depth, fraction| ReplicaProbe {
-            replica,
+        let warm = |depth, fraction| ReplicaProbe {
             queue_depth: depth,
             depth_ahead: depth,
             predicted_wait_s: 0.0,
@@ -412,20 +402,19 @@ mod tests {
         let mut residency = ResidencyAware;
         // The warm replica wins even with a deeper queue — paging costs
         // more than queueing here.
-        let probes = vec![warm(0, 1, 0.0), warm(1, 6, 1.0)];
+        let probes = vec![warm(1, 0.0), warm(6, 1.0)];
         assert_eq!(residency.pick(&probes), 1);
         // Two equally-warm replicas share load by queue depth.
-        let probes = vec![warm(0, 5, 1.0), warm(1, 2, 0.98), warm(2, 9, 0.4)];
+        let probes = vec![warm(5, 1.0), warm(2, 0.98), warm(9, 0.4)];
         assert_eq!(residency.pick(&probes), 1, "within tolerance, shallow queue wins");
         // On a non-paging fleet (all 1.0) it degenerates to JSQ.
-        let probes = vec![warm(0, 4, 1.0), warm(1, 2, 1.0), warm(2, 3, 1.0)];
+        let probes = vec![warm(4, 1.0), warm(2, 1.0), warm(3, 1.0)];
         assert_eq!(residency.pick(&probes), 1);
     }
 
     #[test]
     fn residency_seeds_cold_models_deterministically() {
-        let cold = |replica, depth, model| ReplicaProbe {
-            replica,
+        let cold = |depth, model| ReplicaProbe {
             queue_depth: depth,
             depth_ahead: depth,
             predicted_wait_s: 0.0,
@@ -436,7 +425,7 @@ mod tests {
         let mut residency = ResidencyAware;
         // A cold model ignores queue depth and lands on its home replica
         // (model % fleet) — splitting it by depth would page it everywhere.
-        let probes = |model| vec![cold(0, 9, model), cold(1, 0, model), cold(2, 3, model)];
+        let probes = |model| vec![cold(9, model), cold(0, model), cold(3, model)];
         assert_eq!(residency.pick(&probes(0)), 0);
         assert_eq!(residency.pick(&probes(1)), 1);
         assert_eq!(residency.pick(&probes(5)), 2);

@@ -263,12 +263,8 @@ impl Cluster {
     ) -> Result<(usize, Admission), ServerClosed> {
         assert!(model < self.models.len(), "model {model} out of range");
         let with_warmth = self.balancer.needs_warmth();
-        let probes: Vec<ReplicaProbe> = self
-            .live
-            .iter()
-            .enumerate()
-            .map(|(i, r)| r.probe(i, class, model, with_warmth))
-            .collect();
+        let probes: Vec<ReplicaProbe> =
+            self.live.iter().map(|r| r.probe(class, model, with_warmth)).collect();
         let pick = self.balancer.pick(&probes);
         assert!(
             pick < self.live.len(),

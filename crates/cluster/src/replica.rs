@@ -123,25 +123,17 @@ impl Replica {
         self.server.shed_so_far()
     }
 
-    /// The routing snapshot for a `class` arrival targeting `model`,
-    /// tagged `index` in the cluster's live list.  One queue-lock
-    /// acquisition per replica (`Server::routing_probe`) — this runs for
-    /// every live replica on every submission, contending with the
+    /// The routing snapshot for a `class` arrival targeting `model`.  One
+    /// queue-lock acquisition per replica (`Server::routing_probe`) — this
+    /// runs for every live replica on every submission, contending with the
     /// replica's own workers.  `with_warmth` additionally looks up the
     /// model's VRAM residency (a tile-cache lock + tile scan); the cluster
     /// passes `true` only when the balancer actually reads warmth
     /// ([`crate::LoadBalancer::needs_warmth`]), and every other probe
     /// carries `1.0`.
-    pub fn probe(
-        &self,
-        index: usize,
-        class: ClassId,
-        model: ModelId,
-        with_warmth: bool,
-    ) -> ReplicaProbe {
+    pub fn probe(&self, class: ClassId, model: ModelId, with_warmth: bool) -> ReplicaProbe {
         let (queue_depth, depth_ahead, predicted_wait) = self.server.routing_probe(class);
         ReplicaProbe {
-            replica: index,
             queue_depth,
             depth_ahead,
             predicted_wait_s: predicted_wait.as_secs_f64(),
@@ -232,7 +224,7 @@ mod tests {
             replica.submit_model(0, 0, vec![0.2; 24]).unwrap();
         }
         // Without memory management every model reads fully warm.
-        assert_eq!(replica.probe(0, 0, 0, true).warm_fraction, 1.0);
+        assert_eq!(replica.probe(0, 0, true).warm_fraction, 1.0);
         let retired = replica.shutdown();
         assert_eq!(retired.report.completed, 25);
         assert_eq!(retired.observations.len(), 25);

@@ -439,11 +439,6 @@ impl AutoPlanner {
         )
     }
 
-    /// The batch size layer costs are evaluated at.
-    pub fn design_batch(&self) -> usize {
-        self.design_batch
-    }
-
     /// Modelled seconds for one layer of shape `k x n` executed as `exec` at
     /// the design batch size.
     pub fn price(&self, k: usize, n: usize, exec: &WeightExecution) -> f64 {

@@ -44,8 +44,6 @@ pub struct SparseModelReport {
     pub dense_total_time_s: f64,
     /// Full kernel-level counters of the sparse run.
     pub counters: RunCounters,
-    /// Full kernel-level counters of the dense baseline.
-    pub dense_counters: RunCounters,
 }
 
 impl SparseModelReport {
@@ -105,24 +103,9 @@ impl ModelEvaluation {
         }
     }
 
-    /// The model kind.
-    pub fn kind(&self) -> ModelKind {
-        self.kind
-    }
-
     /// The task whose metric is reported.
     pub fn task(&self) -> TaskKind {
         self.task
-    }
-
-    /// The workload (full-size shapes).
-    pub fn workload(&self) -> &Workload {
-        &self.workload
-    }
-
-    /// The calibrated accuracy proxy.
-    pub fn accuracy_model(&self) -> &AccuracyModel {
-        &self.accuracy
     }
 
     /// The execution planner.
@@ -173,7 +156,6 @@ impl ModelEvaluation {
             dense_gemm_time_s: ExecutionPlanner::gemm_time(&dense),
             dense_total_time_s: dense.total_time(),
             counters: run,
-            dense_counters: dense,
         }
     }
 

@@ -2,7 +2,9 @@
 //!
 //! One generator per figure of the paper's evaluation section.  Each
 //! function returns plain data rows; the `tw-bench` binaries print them as
-//! CSV so EXPERIMENTS.md can record paper-vs-measured values.
+//! CSV (see README's "Figure reproduction" section), and
+//! `tests/figure_reproduction.rs` checks each figure's shape against the
+//! paper's claims.
 
 use crate::evaluate::{ModelEvaluation, SparseModelReport};
 use crate::planner::{ExecutionConfig, ExecutionPlanner, TransposeStrategy};
@@ -150,8 +152,6 @@ pub struct SweepPoint {
     pub normalized_latency: f64,
     /// GEMM speedup over dense (1 / normalised latency).
     pub gemm_speedup: f64,
-    /// End-to-end speedup over dense.
-    pub end_to_end_speedup: f64,
 }
 
 fn sweep_point(r: &SparseModelReport) -> SweepPoint {
@@ -165,7 +165,6 @@ fn sweep_point(r: &SparseModelReport) -> SweepPoint {
             0.0
         },
         gemm_speedup: r.gemm_speedup(),
-        end_to_end_speedup: r.end_to_end_speedup(),
     }
 }
 

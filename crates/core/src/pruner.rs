@@ -91,11 +91,6 @@ impl TileWisePruner {
         Self { config }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &TileWisePrunerConfig {
-        &self.config
-    }
-
     /// Prunes a model in place (its weights end up masked) and returns the
     /// executable sparse representation.
     pub fn prune(&self, layers: &mut LayerSet) -> PrunedModel {

@@ -8,10 +8,10 @@
 
 use tw_gpu_sim::TwTileShape;
 use tw_pruning::{TileWiseMask, TwTile};
-use tw_sparse::RowColMask;
 use tw_tensor::{gemm_strided, GemmShape, Matrix, Strided};
 
-/// One pre-processed weight tile: compacted payload plus masks.
+/// One pre-processed weight tile: compacted payload plus the surviving row
+/// and column indices the kernel gathers and scatters with.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CompactTile {
     /// Original row indices of the tile's surviving rows: the activation
@@ -19,8 +19,6 @@ pub struct CompactTile {
     row_indices: Vec<usize>,
     /// Original column indices of the tile's surviving columns.
     col_indices: Vec<usize>,
-    /// Keep mask over the K dimension.
-    row_keep: Vec<bool>,
     /// Dense payload of shape `kept_rows x kept_cols` (surviving rows and
     /// columns only, in original relative order).
     payload: Matrix,
@@ -35,19 +33,6 @@ impl CompactTile {
     /// Number of surviving columns.
     pub fn kept_cols(&self) -> usize {
         self.payload.cols()
-    }
-
-    /// The compacted payload.
-    pub fn payload(&self) -> &Matrix {
-        &self.payload
-    }
-
-    /// The run-time masks of this tile (`mask_k`, `mask_n` of Listing 1).
-    pub fn masks(&self) -> RowColMask {
-        // The column mask is expressed over the tile's own columns; all of
-        // them survive (column pruning already removed the others), so the
-        // kernel-level mask_n is all-true over kept columns.
-        RowColMask::new(self.row_keep.clone(), vec![true; self.col_indices.len()])
     }
 }
 
@@ -75,12 +60,7 @@ impl TileWiseMatrix {
             .map(|tile: &TwTile| {
                 let row_indices = tile.kept_row_indices();
                 let payload = weights.select_rows(&row_indices).select_cols(&tile.col_indices);
-                CompactTile {
-                    row_indices,
-                    col_indices: tile.col_indices.clone(),
-                    row_keep: tile.row_keep.clone(),
-                    payload,
-                }
+                CompactTile { row_indices, col_indices: tile.col_indices.clone(), payload }
             })
             .collect();
         Self { k: mask.k(), n: mask.n(), granularity: mask.granularity(), tiles }
@@ -120,11 +100,12 @@ impl TileWiseMatrix {
         1.0 - self.kept_elements() as f64 / total as f64
     }
 
-    /// Storage footprint in bytes: compacted payloads plus int32 masks.
+    /// Storage footprint in bytes: compacted payloads plus int32 masks (a
+    /// K-long row mask and the kept column indices per tile).
     pub fn storage_bytes(&self, elem_size: usize) -> usize {
         self.tiles
             .iter()
-            .map(|t| t.payload.len() * elem_size + 4 * (t.row_keep.len() + t.col_indices.len()))
+            .map(|t| t.payload.len() * elem_size + 4 * (self.k + t.col_indices.len()))
             .sum()
     }
 
@@ -256,17 +237,6 @@ mod tests {
         // Compacted storage (plus masks) is far below the dense footprint at
         // high sparsity.
         assert!(twm_high.storage_bytes(2) < 96 * 160 * 2);
-    }
-
-    #[test]
-    fn tile_masks_expose_row_and_col_vectors() {
-        let (weights, mask) = pruned_pair(8, 0.5, 32);
-        let twm = TileWiseMatrix::from_mask(&weights, &mask);
-        for tile in twm.tiles() {
-            let masks = tile.masks();
-            assert_eq!(masks.kept_rows(), tile.kept_rows());
-            assert_eq!(masks.kept_cols(), tile.kept_cols());
-        }
     }
 
     #[test]

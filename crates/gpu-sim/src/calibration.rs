@@ -46,9 +46,6 @@ pub struct Calibration {
     /// Throughput efficiency of simple element-wise kernels (add-bias,
     /// activation) relative to DRAM bandwidth.
     pub elementwise_bandwidth_efficiency: f64,
-    /// Fraction of element-wise kernel time saved by kernel fusion (launches
-    /// removed and intermediate tensors kept in registers).
-    pub fusion_saving: f64,
 }
 
 impl Calibration {
@@ -66,7 +63,6 @@ impl Calibration {
             imbalance_penalty_strength: 0.6,
             imbalance_penalty_with_streams: 0.12,
             elementwise_bandwidth_efficiency: 0.7,
-            fusion_saving: 0.55,
         }
     }
 }
@@ -92,7 +88,6 @@ mod tests {
         assert!(c.uncoalesced_factor >= 1.0);
         assert!(c.mask_load_factor >= 1.0);
         assert!((0.0..=1.0).contains(&c.batching_launch_saving));
-        assert!((0.0..=1.0).contains(&c.fusion_saving));
         assert!(c.imbalance_penalty_with_streams < c.imbalance_penalty_strength);
     }
 }

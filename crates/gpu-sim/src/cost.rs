@@ -19,15 +19,6 @@ use crate::occupancy::{gemm_occupancy_efficiency, imbalance_ratio};
 use crate::stream::StreamSim;
 use tw_tensor::GemmShape;
 
-/// Which baseline sparse kernel family a sparse GEMM uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SparseGemmKind {
-    /// cuSparse CSR SpMM on the CUDA cores (EW and VW baselines).
-    CsrCuda,
-    /// BlockSparse BSR GEMM on the tensor cores (BW baseline).
-    BsrTensor,
-}
-
 /// The shape of one surviving weight tile of a TW-pruned matrix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TwTileShape {
@@ -96,11 +87,6 @@ impl CostModel {
     /// The device being modelled.
     pub fn device(&self) -> &GpuDevice {
         &self.device
-    }
-
-    /// The calibration constants in use.
-    pub fn calibration(&self) -> &Calibration {
-        &self.cal
     }
 
     /// Output tile dimensions the GEMM kernels use on each unit (CUTLASS

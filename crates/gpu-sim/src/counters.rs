@@ -48,26 +48,6 @@ pub struct KernelProfile {
     pub time_s: f64,
 }
 
-impl KernelProfile {
-    /// Achieved FLOP/s of this kernel.
-    pub fn achieved_flops(&self) -> f64 {
-        if self.time_s <= 0.0 {
-            return 0.0;
-        }
-        self.counters.flops as f64 / self.time_s
-    }
-
-    /// FLOPS efficiency relative to the peak of the unit it ran on — the
-    /// quantity Fig. 11 plots.
-    pub fn flops_efficiency(&self, device: &GpuDevice) -> f64 {
-        let peak = device.peak_flops(self.core);
-        if peak <= 0.0 {
-            return 0.0;
-        }
-        (self.achieved_flops() / peak).min(1.0)
-    }
-}
-
 /// Aggregated counters over a sequence of kernels (one model forward pass).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunCounters {
@@ -83,11 +63,6 @@ impl RunCounters {
     /// Adds a kernel profile.
     pub fn push(&mut self, profile: KernelProfile) {
         self.kernels.push(profile);
-    }
-
-    /// Extends with many profiles.
-    pub fn extend(&mut self, profiles: impl IntoIterator<Item = KernelProfile>) {
-        self.kernels.extend(profiles);
     }
 
     /// All recorded kernels in execution order.
@@ -168,24 +143,6 @@ mod tests {
         let c = a.add(&b);
         assert_eq!(c.flops, 11);
         assert_eq!(c.store_transactions, 55);
-    }
-
-    #[test]
-    fn profile_efficiency() {
-        let device = GpuDevice::v100();
-        let p = sample_profile("dense_gemm", 125_000_000, 1e-6);
-        // 125 GFLOP in 1 us = 125 TFLOP/s = 100% of tensor core peak.
-        assert!((p.flops_efficiency(&device) - 1.0).abs() < 1e-9);
-        let slow = sample_profile("dense_gemm", 125_000_000, 2e-6);
-        assert!((slow.flops_efficiency(&device) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_time_profile_has_zero_efficiency() {
-        let device = GpuDevice::v100();
-        let p = sample_profile("noop", 100, 0.0);
-        assert_eq!(p.achieved_flops(), 0.0);
-        assert_eq!(p.flops_efficiency(&device), 0.0);
     }
 
     #[test]

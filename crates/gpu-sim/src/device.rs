@@ -45,13 +45,9 @@ pub struct GpuDevice {
     pub memory_transaction_bytes: usize,
     /// Kernel launch overhead in seconds.
     pub kernel_launch_overhead: f64,
-    /// Warp size (threads per warp).
-    pub warp_size: usize,
     /// Maximum number of concurrently executing streams the scheduler can
     /// overlap usefully.
     pub max_concurrent_streams: usize,
-    /// Shared memory per SM in bytes.
-    pub shared_mem_per_sm: usize,
     /// On-device memory (VRAM) capacity in bytes.  This is the budget a
     /// memory manager allocates weight tiles against: bytes beyond it must
     /// live host-side and be paged in over PCIe before a kernel can run.
@@ -77,9 +73,7 @@ impl GpuDevice {
             memory_bandwidth: 900.0e9,
             memory_transaction_bytes: 32,
             kernel_launch_overhead: 3.0e-6,
-            warp_size: 32,
             max_concurrent_streams: 8,
-            shared_mem_per_sm: 96 * 1024,
             vram_bytes: 16 * (1 << 30),
             pcie_bandwidth: 12.0e9,
             pcie_latency: 10.0e-6,
@@ -98,9 +92,7 @@ impl GpuDevice {
             memory_bandwidth: 320.0e9,
             memory_transaction_bytes: 32,
             kernel_launch_overhead: 5.0e-6,
-            warp_size: 32,
             max_concurrent_streams: 4,
-            shared_mem_per_sm: 64 * 1024,
             vram_bytes: 8 * (1 << 30),
             // A consumer board on a PCIe 3.0 x8 link.
             pcie_bandwidth: 6.0e9,
@@ -122,9 +114,7 @@ impl GpuDevice {
             memory_bandwidth: 1555.0e9,
             memory_transaction_bytes: 32,
             kernel_launch_overhead: 2.5e-6,
-            warp_size: 32,
             max_concurrent_streams: 12,
-            shared_mem_per_sm: 164 * 1024,
             vram_bytes: 40 * (1 << 30),
             // PCIe 4.0 x16.
             pcie_bandwidth: 24.0e9,

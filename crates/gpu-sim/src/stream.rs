@@ -53,11 +53,6 @@ impl StreamSim {
         Self { num_streams }
     }
 
-    /// Number of streams.
-    pub fn num_streams(&self) -> usize {
-        self.num_streams
-    }
-
     /// Schedules kernels with the given durations using greedy
     /// longest-processing-time-first assignment (a 4/3-approximation of the
     /// optimal makespan, and a good proxy for the hardware scheduler).

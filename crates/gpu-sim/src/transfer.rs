@@ -18,8 +18,7 @@
 //! cold-miss transfer time to its kernel dwell and scale both with one
 //! knob.
 
-use crate::counters::{KernelCounters, KernelProfile};
-use crate::device::{CoreKind, GpuDevice};
+use crate::device::GpuDevice;
 
 /// Prices host↔device copies for one device's PCIe profile.
 #[derive(Clone, Debug, PartialEq)]
@@ -52,16 +51,6 @@ impl TransferCost {
         Self::new(device.pcie_bandwidth, device.pcie_latency)
     }
 
-    /// Effective copy bandwidth in bytes/s.
-    pub fn bandwidth(&self) -> f64 {
-        self.bandwidth
-    }
-
-    /// Fixed per-copy latency in seconds.
-    pub fn latency(&self) -> f64 {
-        self.latency
-    }
-
     /// Simulated seconds to move `bytes` bytes host→device (or back — the
     /// link is modelled symmetric).  Zero bytes cost nothing.
     pub fn seconds(&self, bytes: u64) -> f64 {
@@ -69,24 +58,6 @@ impl TransferCost {
             return 0.0;
         }
         self.latency + bytes as f64 / self.bandwidth
-    }
-
-    /// The copy as a [`KernelProfile`], so transfers can sit in the same
-    /// accounting as kernels (a host→device copy reads `bytes` from the
-    /// host and stores them to DRAM; the copy engine does no FLOPs).
-    pub fn profile(&self, bytes: u64) -> KernelProfile {
-        KernelProfile {
-            name: "h2d_copy".to_string(),
-            core: CoreKind::CudaCore,
-            counters: KernelCounters {
-                flops: 0,
-                load_bytes: bytes,
-                store_bytes: bytes,
-                load_transactions: 0,
-                store_transactions: 0,
-            },
-            time_s: self.seconds(bytes),
-        }
     }
 }
 
@@ -124,17 +95,6 @@ mod tests {
         let bytes = 64 << 20;
         assert!(a100.seconds(bytes) < v100.seconds(bytes));
         assert!(midrange.seconds(bytes) > v100.seconds(bytes));
-    }
-
-    #[test]
-    fn profile_carries_bytes_and_time() {
-        let t = TransferCost::of(&GpuDevice::v100());
-        let p = t.profile(1 << 20);
-        assert_eq!(p.name, "h2d_copy");
-        assert_eq!(p.counters.flops, 0);
-        assert_eq!(p.counters.load_bytes, 1 << 20);
-        assert_eq!(p.counters.store_bytes, 1 << 20);
-        assert_eq!(p.time_s, t.seconds(1 << 20));
     }
 
     #[test]

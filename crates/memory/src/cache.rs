@@ -164,19 +164,9 @@ impl TileCache {
         }
     }
 
-    /// VRAM capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.pool.capacity()
-    }
-
     /// Bytes currently resident.
     pub fn resident_bytes(&self) -> u64 {
         self.pool.used()
-    }
-
-    /// Number of resident tiles.
-    pub fn resident_tiles(&self) -> usize {
-        self.resident.len()
     }
 
     /// Times the pinned working set forced the pool past capacity.
@@ -289,22 +279,6 @@ impl TileCache {
                 break;
             }
         }
-    }
-
-    /// Evicts every unpinned tile of `model` (a whole-model eviction, the
-    /// registry's admission lever).  Returns the bytes freed.
-    pub fn evict_model(&mut self, model: ModelId) -> u64 {
-        let victims: Vec<TileKey> = self
-            .resident
-            .iter()
-            .filter(|(key, entry)| key.model == model && entry.pins == 0)
-            .map(|(key, _)| *key)
-            .collect();
-        let mut freed = 0;
-        for key in victims {
-            freed += self.evict(key);
-        }
-        freed
     }
 
     /// Evicts unpinned tiles (policy-chosen) until `needed` bytes fit or no
@@ -444,21 +418,6 @@ mod tests {
         c.acquire(&[tile(1, 0, 0, 9000)]);
         assert!(c.contains(shared[0].key));
         c.release(&shared);
-    }
-
-    #[test]
-    fn whole_model_eviction_frees_only_that_model() {
-        let mut c = cache(1 << 20);
-        let m0 = vec![tile(0, 0, 0, 1000), tile(0, 1, 0, 2000)];
-        let m1 = vec![tile(1, 0, 0, 4000)];
-        c.acquire(&m0);
-        c.release(&m0);
-        c.acquire(&m1);
-        c.release(&m1);
-        assert_eq!(c.evict_model(0), 3000);
-        assert!(!c.contains(m0[0].key));
-        assert!(c.contains(m1[0].key));
-        assert_eq!(c.resident_bytes(), 4000);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!  ModelRegistry ──(tiles per model/layer)──> TileCache ──> MemoryPool
 //!   name@version                               │  EvictionPolicy (lru /
 //!   InferenceSession                           │   cost-aware), pinning
-//!   admission_plan()                           └─ TransferCost (PCIe)
+//!                                              └─ TransferCost (PCIe)
 //! ```
 //!
 //! * [`MemoryPool`] — allocation accounting against one device's
@@ -22,8 +22,7 @@
 //!   referenced by in-flight batches are pinned, and hits / misses / bytes
 //!   transferred are counted globally and per model.
 //! * [`ModelRegistry`] — named, versioned [`tilewise::InferenceSession`]s
-//!   behind stable [`ModelId`]s, with whole-model admit/evict planning for
-//!   over-subscribed fleets.
+//!   behind stable [`ModelId`]s.
 //!
 //! The serving tier (`tw-serve`) calls [`TileCache::acquire`] before each
 //! batch and adds the returned transfer seconds to the batch's simulated
@@ -46,4 +45,4 @@ pub use cache::{
 };
 pub use policy::{CandidateTile, CostAware, EvictionPolicy, Lru, PolicyKind, PolicyParseError};
 pub use pool::{MemoryPool, OutOfMemory};
-pub use registry::{AdmissionPlan, ModelEntry, ModelRegistry};
+pub use registry::{ModelEntry, ModelRegistry};

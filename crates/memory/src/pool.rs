@@ -45,11 +45,6 @@ impl MemoryPool {
         Self { capacity, used: 0, peak: 0, overcommits: 0 }
     }
 
-    /// Total capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
     /// Bytes currently allocated.
     pub fn used(&self) -> u64 {
         self.used

@@ -1,18 +1,13 @@
-//! The model registry: named, versioned inference sessions plus the
-//! whole-model admission decisions an over-subscribed fleet needs.
+//! The model registry: named, versioned inference sessions.
 //!
 //! A multi-model server resolves request model ids through one
 //! [`ModelRegistry`].  Each registered model carries its executable
 //! [`tilewise::InferenceSession`] and the derived [`WeightTile`] set the
 //! [`crate::TileCache`] pages: every layer's `resident_bytes` is split into
 //! tiles of at most `page_bytes`, keyed `(model, layer, tile)` — so paging
-//! granularity follows the kernel's actual footprint, not a guess.
-//!
-//! When the registered footprint exceeds a device's VRAM, the fleet is
-//! *over-subscribed*: every model still serves (the tile cache pages), but
-//! an operator may prefer to evict whole models.  [`ModelRegistry::
-//! admission_plan`] encodes that decision: superseded versions are evicted
-//! first, then the largest models until the remainder fits.
+//! granularity follows the kernel's actual footprint, not a guess.  When the
+//! registered footprint exceeds a device's VRAM every model still serves:
+//! the tile cache pages.
 
 use crate::cache::{ModelId, TileKey, WeightTile};
 use std::sync::Arc;
@@ -34,7 +29,7 @@ impl ModelEntry {
         &self.name
     }
 
-    /// The model's version (higher wins name resolution).
+    /// The model's version.
     pub fn version(&self) -> u32 {
         self.version
     }
@@ -55,22 +50,11 @@ impl ModelEntry {
     }
 }
 
-/// Decision of [`ModelRegistry::admission_plan`] for a VRAM budget.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AdmissionPlan {
-    /// Models to keep serving, in registration order.
-    pub admitted: Vec<ModelId>,
-    /// Models to evict wholesale (apply via [`crate::TileCache::evict_model`]
-    /// and stop routing to them), in eviction order.
-    pub evicted: Vec<ModelId>,
-}
-
 /// Named, versioned inference sessions behind stable [`ModelId`]s.
 ///
 /// Ids are indices into registration order and never move; re-registering a
-/// name with a higher version adds a new entry that *shadows* the old one
-/// in [`ModelRegistry::resolve`] without invalidating in-flight requests
-/// against the old id.
+/// name with a higher version adds a new entry without invalidating
+/// in-flight requests against the old id.
 #[derive(Clone, Debug, Default)]
 pub struct ModelRegistry {
     entries: Vec<ModelEntry>,
@@ -96,11 +80,6 @@ impl ModelRegistry {
     pub fn with_page_bytes(page_bytes: u64) -> Self {
         assert!(page_bytes > 0, "page size must be positive");
         Self { entries: Vec::new(), page_bytes }
-    }
-
-    /// The paging granularity in bytes.
-    pub fn page_bytes(&self) -> u64 {
-        self.page_bytes
     }
 
     /// Registers `session` as `name` at `version` and returns its id.
@@ -144,16 +123,6 @@ impl ModelRegistry {
         &self.entries[id]
     }
 
-    /// Resolves `name` to the id of its highest registered version.
-    pub fn resolve(&self, name: &str) -> Option<ModelId> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.name == name)
-            .max_by_key(|(_, e)| e.version)
-            .map(|(id, _)| id)
-    }
-
     /// Number of registered models (all versions).
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -172,41 +141,6 @@ impl ModelRegistry {
     /// Sum of every registered model's footprint.
     pub fn total_footprint(&self) -> u64 {
         self.entries.iter().map(|e| e.footprint).sum()
-    }
-
-    /// Whether the registered footprint exceeds `vram_bytes`.
-    pub fn oversubscribed(&self, vram_bytes: u64) -> bool {
-        self.total_footprint() > vram_bytes
-    }
-
-    /// Which whole models to evict so the remainder fits in `vram_bytes`:
-    /// superseded versions go first (a shadowed model earns nothing), then
-    /// the largest still-admitted models until the plan fits — evicting the
-    /// biggest model frees the most VRAM per model taken out of service.
-    /// When even a single model exceeds the budget it stays admitted alone
-    /// (the tile cache pages it); the plan never evicts everything.
-    pub fn admission_plan(&self, vram_bytes: u64) -> AdmissionPlan {
-        let mut admitted: Vec<ModelId> = Vec::new();
-        let mut evicted: Vec<ModelId> = Vec::new();
-        for (id, entry) in self.iter() {
-            if self.resolve(&entry.name) == Some(id) {
-                admitted.push(id);
-            } else {
-                evicted.push(id);
-            }
-        }
-        let mut budget: u64 = admitted.iter().map(|&id| self.entries[id].footprint).sum();
-        while budget > vram_bytes && admitted.len() > 1 {
-            let (pos, &victim) = admitted
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, &id)| (self.entries[id].footprint, id))
-                .expect("non-empty admitted list");
-            budget -= self.entries[victim].footprint;
-            admitted.remove(pos);
-            evicted.push(victim);
-        }
-        AdmissionPlan { admitted, evicted }
     }
 }
 
@@ -243,44 +177,16 @@ mod tests {
     }
 
     #[test]
-    fn resolve_prefers_the_highest_version() {
+    fn old_versions_keep_their_ids() {
         let mut registry = ModelRegistry::new();
         let v1 = registry.register("bert", 1, session(&[24, 16], 1));
         let v3 = registry.register("bert", 3, session(&[24, 16], 2));
-        let v2 = registry.register("bert", 2, session(&[24, 16], 3));
-        let gpt = registry.register("gpt", 1, session(&[24, 16], 4));
-        assert_eq!(registry.resolve("bert"), Some(v3));
-        assert_eq!(registry.resolve("gpt"), Some(gpt));
-        assert_eq!(registry.resolve("llama"), None);
+        let gpt = registry.register("gpt", 1, session(&[24, 16], 3));
         // Old ids stay valid for in-flight work.
         assert_eq!(registry.get(v1).version(), 1);
-        assert_eq!(registry.get(v2).version(), 2);
-        assert_eq!(registry.len(), 4);
-    }
-
-    #[test]
-    fn admission_plan_evicts_superseded_then_largest() {
-        let mut registry = ModelRegistry::new();
-        let old = registry.register("bert", 1, session(&[48, 64, 32], 1));
-        let new = registry.register("bert", 2, session(&[48, 64, 32], 2));
-        let big = registry.register("gpt", 1, session(&[96, 128, 96], 3));
-        let small = registry.register("tiny", 1, session(&[16, 8], 4));
-
-        // Roomy budget: only the superseded version goes.
-        let plan = registry.admission_plan(u64::MAX);
-        assert_eq!(plan.admitted, vec![new, big, small]);
-        assert_eq!(plan.evicted, vec![old]);
-
-        // Budget below the three live models: the largest goes next.
-        let live: u64 = [new, big, small].iter().map(|&id| registry.get(id).footprint()).sum();
-        let plan = registry.admission_plan(live - 1);
-        assert!(plan.evicted.contains(&big), "largest model evicted: {plan:?}");
-        assert!(plan.admitted.contains(&small));
-
-        // Even a zero budget keeps one model serving.
-        let plan = registry.admission_plan(0);
-        assert_eq!(plan.admitted.len(), 1);
-        assert!(registry.oversubscribed(0));
+        assert_eq!(registry.get(v3).version(), 3);
+        assert_eq!(registry.get(gpt).name(), "gpt");
+        assert_eq!(registry.len(), 3);
     }
 
     #[test]

@@ -115,11 +115,6 @@ impl AccuracyModel {
         Self { task, scale }
     }
 
-    /// The task this proxy models.
-    pub fn task(&self) -> TaskKind {
-        self.task
-    }
-
     /// Metric of a pruned model given its masks (one per weight matrix).
     pub fn metric_for_masks(&self, scores: &[ImportanceScores], masks: &[PatternMask]) -> f64 {
         self.metric_for_lost_importance(lost_importance(scores, masks))
@@ -130,11 +125,6 @@ impl AccuracyModel {
     pub fn metric_for_lost_importance(&self, lost: f64) -> f64 {
         let drop = self.scale * lost.max(0.0).powf(self.task.drop_exponent());
         (self.task.dense_metric() - drop).max(self.task.metric_floor())
-    }
-
-    /// Metric drop relative to the dense model.
-    pub fn drop_for_masks(&self, scores: &[ImportanceScores], masks: &[PatternMask]) -> f64 {
-        self.task.dense_metric() - self.metric_for_masks(scores, masks)
     }
 }
 

@@ -18,8 +18,8 @@
 //!   that is pruned with every pattern and fine-tuned for real, confirming
 //!   end-to-end that the accuracy ordering EW > TW > VW ≈ BW emerges from
 //!   actual training rather than from the proxy's construction.
-//! * [`requests`] — seeded synthetic inference-request payloads and Poisson
-//!   arrival gaps for the `tw-serve` serving runtime and its benchmarks.
+//! * [`requests`] — seeded synthetic inference-request payloads for the
+//!   `tw-serve` serving runtime and its benchmarks.
 //! * [`traffic`] — open-loop traffic schedules: pluggable arrival processes
 //!   (Poisson, bursty ON/OFF, heavy-tailed Pareto) over mixed request
 //!   classes (interactive vs. batch), rendered deterministically so every

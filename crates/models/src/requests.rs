@@ -4,13 +4,10 @@
 //! matches the model being served and whose arrival process is controllable.
 //! [`RequestGenerator`] produces seeded, deterministic payload vectors (so
 //! runs are reproducible and results can be checked against a dense
-//! reference), plus exponential inter-arrival gaps for open-loop load
-//! generation at a target request rate.
+//! reference); arrival times come from [`crate::traffic`].
 
-use crate::workload::Workload;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Duration;
 
 /// A deterministic generator of synthetic inference requests.
 #[derive(Clone, Debug)]
@@ -32,22 +29,6 @@ impl RequestGenerator {
         Self { input_dim, scale, rng: StdRng::seed_from_u64(seed) }
     }
 
-    /// A generator shaped for a model workload: payload length is the K
-    /// dimension of the first prunable GEMM (the model's input features).
-    ///
-    /// # Panics
-    /// Panics if the workload has no prunable GEMMs.
-    pub fn for_workload(workload: &Workload, seed: u64) -> Self {
-        let first =
-            workload.prunable.first().expect("workload needs at least one prunable GEMM to serve");
-        Self::new(first.k, 1.0, seed)
-    }
-
-    /// Payload length of every generated request.
-    pub fn input_dim(&self) -> usize {
-        self.input_dim
-    }
-
     /// The next request payload.
     pub fn next_payload(&mut self) -> Vec<f32> {
         let scale = self.scale;
@@ -57,19 +38,6 @@ impl RequestGenerator {
     /// A batch of `count` payloads.
     pub fn payloads(&mut self, count: usize) -> Vec<Vec<f32>> {
         (0..count).map(|_| self.next_payload()).collect()
-    }
-
-    /// An exponentially distributed inter-arrival gap for a Poisson arrival
-    /// process at `rate_per_sec` requests per second — the standard open-loop
-    /// load model.
-    ///
-    /// # Panics
-    /// Panics if `rate_per_sec` is not positive.
-    pub fn next_inter_arrival(&mut self, rate_per_sec: f64) -> Duration {
-        assert!(rate_per_sec > 0.0, "arrival rate must be positive");
-        // Inverse-CDF sampling; u in (0, 1] avoids ln(0).
-        let u: f64 = 1.0 - self.rng.gen_range(0.0f64..1.0);
-        Duration::from_secs_f64(-u.ln() / rate_per_sec)
     }
 }
 
@@ -100,27 +68,6 @@ mod tests {
         let pb = b.next_payload();
         assert_ne!(pa, pb);
         assert!(pa.iter().all(|v| v.abs() <= 0.5));
-    }
-
-    #[test]
-    fn workload_shapes_the_payload() {
-        let w = Workload::bert_base(1, 8);
-        let mut generator = RequestGenerator::for_workload(&w, 3);
-        assert_eq!(generator.next_payload().len(), w.prunable[0].k);
-    }
-
-    #[test]
-    fn inter_arrival_mean_tracks_rate() {
-        let mut generator = RequestGenerator::new(4, 1.0, 11);
-        let rate = 200.0;
-        let n = 5_000;
-        let total: f64 = (0..n).map(|_| generator.next_inter_arrival(rate).as_secs_f64()).sum();
-        let mean = total / n as f64;
-        assert!(
-            (mean - 1.0 / rate).abs() < 0.1 / rate * 5.0,
-            "mean gap {mean} vs expected {}",
-            1.0 / rate
-        );
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! figures:
 //!
 //! * Fig. 5 — per-matrix sparsity of a globally EW-pruned model.
-//! * Fig. 6 — cumulative probability distribution of zero elements inside
-//!   candidate pruning units (BW blocks of 8x8 / 32x32, TW row-vectors of
-//!   G elements).
+//! * Fig. 6 — zero ratios of candidate pruning units (BW blocks of 8x8 /
+//!   32x32, TW row-vectors of G elements), whose distribution the figure
+//!   plots.
 //! * Fig. 13 — spatial heatmaps of the pruned weight layout.
 
 use crate::pattern::PatternMask;
@@ -15,16 +15,6 @@ use crate::pattern::PatternMask;
 /// weight-matrix index).
 pub fn per_matrix_sparsity(masks: &[PatternMask]) -> Vec<f64> {
     masks.iter().map(|m| m.sparsity()).collect()
-}
-
-/// A point of a cumulative distribution: fraction of units whose zero-ratio
-/// is `<= zero_ratio`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CdfPoint {
-    /// Ratio of zero (pruned) elements within a unit, in `[0, 1]`.
-    pub zero_ratio: f64,
-    /// Cumulative probability of units at or below this ratio.
-    pub cumulative_probability: f64,
 }
 
 /// The pruning-unit shapes Fig. 6 compares.
@@ -76,32 +66,6 @@ pub fn unit_zero_ratios(mask: &PatternMask, shape: UnitShape) -> Vec<f64> {
         }
     }
     ratios
-}
-
-/// Builds the cumulative distribution of unit zero-ratios (Fig. 6) sampled at
-/// `num_points` evenly spaced ratios in `[0, 1]`.
-pub fn zero_ratio_cdf(mask: &PatternMask, shape: UnitShape, num_points: usize) -> Vec<CdfPoint> {
-    assert!(num_points >= 2, "need at least two CDF points");
-    let ratios = unit_zero_ratios(mask, shape);
-    let n = ratios.len().max(1) as f64;
-    (0..num_points)
-        .map(|i| {
-            let x = i as f64 / (num_points - 1) as f64;
-            let count = ratios.iter().filter(|&&r| r <= x + 1e-12).count();
-            CdfPoint { zero_ratio: x, cumulative_probability: count as f64 / n }
-        })
-        .collect()
-}
-
-/// Fraction of units that are completely prunable (zero-ratio == 1.0) — the
-/// quantity the paper uses to argue TW's row-vector unit captures more
-/// "free" sparsity than BW blocks.
-pub fn fully_zero_unit_fraction(mask: &PatternMask, shape: UnitShape) -> f64 {
-    let ratios = unit_zero_ratios(mask, shape);
-    if ratios.is_empty() {
-        return 0.0;
-    }
-    ratios.iter().filter(|&&r| r >= 1.0 - 1e-12).count() as f64 / ratios.len() as f64
 }
 
 /// A down-sampled heatmap of a mask's sparsity: the matrix is divided into a
@@ -165,40 +129,6 @@ mod tests {
         let s = per_matrix_sparsity(&masks);
         assert!((s[0] - 0.75).abs() < 1e-9);
         assert_eq!(s[1], 0.0);
-    }
-
-    #[test]
-    fn cdf_is_monotone_and_bounded() {
-        let mask = ew_mask_75(2);
-        for shape in [UnitShape::Block { size: 8 }, UnitShape::RowVector { g: 64 }] {
-            let cdf = zero_ratio_cdf(&mask, shape, 21);
-            assert_eq!(cdf.len(), 21);
-            assert!(cdf
-                .windows(2)
-                .all(|w| { w[1].cumulative_probability >= w[0].cumulative_probability - 1e-12 }));
-            assert!((cdf.last().unwrap().cumulative_probability - 1.0).abs() < 1e-12);
-            assert!(cdf[0].cumulative_probability >= 0.0);
-        }
-    }
-
-    #[test]
-    fn tw_row_vectors_capture_more_full_zeros_than_large_blocks() {
-        // The Fig. 6 claim: with the same number of elements per unit (64),
-        // a TW row vector of 64 elements captures at least as many fully
-        // zero units as an 8x8 BW block, and a 32x32 block captures fewer.
-        // Use clustered importance so EW produces column locality.
-        let m = Matrix::from_fn(128, 128, |r, c| {
-            let col_strength = if (c / 16) % 2 == 0 { 0.05f32 } else { 1.0 };
-            col_strength * (1.0 + ((r * 7 + c * 13) % 31) as f32 / 31.0)
-        });
-        let scores = ImportanceScores::from_matrix(m);
-        let mask = ew::prune(&scores, SparsityTarget::new(0.75));
-        let tw64 = fully_zero_unit_fraction(&mask, UnitShape::RowVector { g: 64 });
-        let bw32 = fully_zero_unit_fraction(&mask, UnitShape::Block { size: 32 });
-        assert!(
-            tw64 >= bw32,
-            "TW row vectors ({tw64}) should capture at least as many zero units as 32x32 blocks ({bw32})"
-        );
     }
 
     #[test]

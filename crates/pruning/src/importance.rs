@@ -53,18 +53,6 @@ impl ImportanceScores {
         Self { scores }
     }
 
-    /// Computes scores with the chosen method.  `grads` may be `None` only
-    /// for [`ImportanceMethod::Magnitude`].
-    pub fn compute(method: ImportanceMethod, weights: &Matrix, grads: Option<&Matrix>) -> Self {
-        match method {
-            ImportanceMethod::Magnitude => Self::magnitude(weights),
-            ImportanceMethod::Taylor => {
-                let grads = grads.expect("Taylor importance requires gradients");
-                Self::taylor(weights, grads)
-            }
-        }
-    }
-
     /// Wraps an arbitrary non-negative score matrix (used by tests and by
     /// synthetic workload generators that sample scores directly).
     pub fn from_matrix(scores: Matrix) -> Self {
@@ -91,11 +79,6 @@ impl ImportanceScores {
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f32 {
         self.scores.get(r, c)
-    }
-
-    /// The underlying score matrix.
-    pub fn as_matrix(&self) -> &Matrix {
-        &self.scores
     }
 
     /// All scores as a flat row-major slice.
@@ -139,36 +122,6 @@ impl ImportanceScores {
         assert_eq!(keep.len(), self.scores.len(), "mask length mismatch");
         self.scores.as_slice().iter().zip(keep).filter(|(_, &k)| k).map(|(&v, _)| v as f64).sum()
     }
-
-    /// Fraction of total importance retained by a keep mask, in `[0, 1]`.
-    pub fn retained_fraction(&self, keep: &[bool]) -> f64 {
-        let total = self.total();
-        if total == 0.0 {
-            return 1.0;
-        }
-        self.retained(keep) / total
-    }
-}
-
-/// Returns the value below which `fraction` of the inputs fall (the
-/// `Percentile` primitive of Algorithm 1).  `fraction` is clamped to
-/// `[0, 1]`.  With an empty input the result is 0.
-pub fn percentile_threshold(values: &[f64], fraction: f64) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let fraction = fraction.clamp(0.0, 1.0);
-    let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("scores must not be NaN"));
-    let k = (fraction * sorted.len() as f64).floor() as usize;
-    if k == 0 {
-        // Nothing should be pruned: return a threshold below the minimum.
-        return f64::NEG_INFINITY;
-    }
-    if k >= sorted.len() {
-        return f64::INFINITY;
-    }
-    sorted[k]
 }
 
 /// Selects the indices of the `count` smallest values (ties broken by index
@@ -220,22 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn compute_dispatches() {
-        let w = Matrix::from_rows(&[&[2.0, -3.0]]);
-        let g = Matrix::from_rows(&[&[1.0, 1.0]]);
-        let mag = ImportanceScores::compute(ImportanceMethod::Magnitude, &w, None);
-        let tay = ImportanceScores::compute(ImportanceMethod::Taylor, &w, Some(&g));
-        assert_eq!(mag.as_slice(), &[2.0, 3.0]);
-        assert_eq!(tay.as_slice(), &[2.0, 3.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "requires gradients")]
-    fn taylor_without_grads_panics() {
-        let _ = ImportanceScores::compute(ImportanceMethod::Taylor, &Matrix::zeros(2, 2), None);
-    }
-
-    #[test]
     fn aggregations() {
         let s =
             ImportanceScores::from_matrix(Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]));
@@ -247,26 +184,9 @@ mod tests {
     }
 
     #[test]
-    fn retained_fraction() {
+    fn retained_sums_kept_scores() {
         let s = ImportanceScores::from_matrix(Matrix::from_rows(&[&[1.0, 3.0]]));
         assert_eq!(s.retained(&[true, false]), 1.0);
-        assert!((s.retained_fraction(&[false, true]) - 0.75).abs() < 1e-12);
-        assert_eq!(s.retained_fraction(&[true, true]), 1.0);
-    }
-
-    #[test]
-    fn retained_fraction_of_zero_scores_is_one() {
-        let s = ImportanceScores::from_matrix(Matrix::zeros(2, 2));
-        assert_eq!(s.retained_fraction(&[false; 4]), 1.0);
-    }
-
-    #[test]
-    fn percentile_threshold_behaviour() {
-        let v = vec![1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile_threshold(&v, 0.0), f64::NEG_INFINITY);
-        assert_eq!(percentile_threshold(&v, 0.5), 3.0);
-        assert_eq!(percentile_threshold(&v, 1.0), f64::INFINITY);
-        assert_eq!(percentile_threshold(&[], 0.5), 0.0);
     }
 
     #[test]
@@ -292,22 +212,6 @@ mod proptests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Retained fraction is monotone in the mask: adding kept elements
-        /// never decreases it.
-        #[test]
-        fn retained_fraction_is_monotone(seed in any::<u64>(), rows in 1usize..10, cols in 1usize..10) {
-            use rand::{Rng, SeedableRng};
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let w = Matrix::random_uniform(rows, cols, 1.0, seed);
-            let s = ImportanceScores::magnitude(&w);
-            let mask_small: Vec<bool> = (0..rows * cols).map(|_| rng.gen_bool(0.3)).collect();
-            let mut mask_big = mask_small.clone();
-            for k in &mut mask_big {
-                if rng.gen_bool(0.5) { *k = true; }
-            }
-            prop_assert!(s.retained_fraction(&mask_big) >= s.retained_fraction(&mask_small) - 1e-12);
-        }
 
         /// smallest_k and largest_k partition correctly: every selected
         /// "small" value is <= every selected "large" value when k's sum to n.

@@ -1,6 +1,5 @@
 //! Sparsity-pattern taxonomy and the common mask type every pruner produces.
 
-use crate::importance::ImportanceScores;
 use tw_tensor::Matrix;
 
 /// The sparsity patterns studied in the paper (Fig. 2 and Fig. 4).
@@ -54,13 +53,6 @@ impl PruningPattern {
                 format!("tew{granularity}-{:.1}%", delta * 100.0)
             }
         }
-    }
-
-    /// True for patterns whose surviving weights remain executable as dense
-    /// GEMM on a tensor-core-class accelerator without hardware changes
-    /// (dense, BW with large blocks, TW, the TW part of TEW).
-    pub fn is_gemm_compatible(&self) -> bool {
-        !matches!(self, PruningPattern::ElementWise | PruningPattern::VectorWise { .. })
     }
 }
 
@@ -174,12 +166,6 @@ impl PatternMask {
         weights.apply_mask(&self.keep)
     }
 
-    /// Fraction of total importance retained by this mask.
-    pub fn retained_importance(&self, scores: &ImportanceScores) -> f64 {
-        assert_eq!(scores.shape(), self.shape(), "mask/scores shape mismatch");
-        scores.retained_fraction(&self.keep)
-    }
-
     /// Per-column sparsity (used by the Fig. 13 heatmaps).
     pub fn col_sparsity(&self) -> Vec<f64> {
         (0..self.cols)
@@ -190,19 +176,20 @@ impl PatternMask {
             .collect()
     }
 
-    /// Intersection with another mask: an element survives only if both
-    /// masks keep it.
-    pub fn and(&self, other: &PatternMask) -> PatternMask {
-        assert_eq!(self.shape(), other.shape(), "mask shape mismatch");
-        let keep = self.keep.iter().zip(&other.keep).map(|(&a, &b)| a && b).collect();
-        PatternMask { rows: self.rows, cols: self.cols, keep }
-    }
-
     /// Union with another mask: an element survives if either mask keeps it.
     pub fn or(&self, other: &PatternMask) -> PatternMask {
         assert_eq!(self.shape(), other.shape(), "mask shape mismatch");
         let keep = self.keep.iter().zip(&other.keep).map(|(&a, &b)| a || b).collect();
         PatternMask { rows: self.rows, cols: self.cols, keep }
+    }
+}
+
+#[cfg(test)]
+impl PatternMask {
+    /// Fraction of total importance this mask keeps: the quality measure the
+    /// pruner tests rank patterns by.
+    pub(crate) fn retained_importance(&self, scores: &crate::ImportanceScores) -> f64 {
+        scores.retained(&self.keep) / scores.total()
     }
 }
 
@@ -221,15 +208,6 @@ mod tests {
             PruningPattern::TileElementWise { granularity: 128, delta: 0.05 }.label(),
             "tew128-5.0%"
         );
-    }
-
-    #[test]
-    fn gemm_compatibility() {
-        assert!(PruningPattern::Dense.is_gemm_compatible());
-        assert!(PruningPattern::TileWise { granularity: 64 }.is_gemm_compatible());
-        assert!(PruningPattern::BlockWise { block_size: 32 }.is_gemm_compatible());
-        assert!(!PruningPattern::ElementWise.is_gemm_compatible());
-        assert!(!PruningPattern::VectorWise { vector_size: 16 }.is_gemm_compatible());
     }
 
     #[test]
@@ -264,14 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn retained_importance_matches_scores() {
-        let scores = ImportanceScores::from_matrix(Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
-        let mut m = PatternMask::keep_all(2, 2);
-        m.prune(1, 1);
-        assert!((m.retained_importance(&scores) - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
     fn col_sparsity_per_column() {
         let mut m = PatternMask::keep_all(4, 2);
         m.prune(0, 0);
@@ -280,13 +250,11 @@ mod tests {
     }
 
     #[test]
-    fn and_or_compose() {
+    fn or_keeps_either() {
         let mut a = PatternMask::keep_all(1, 3);
         let mut b = PatternMask::keep_all(1, 3);
         a.prune(0, 0);
         b.prune(0, 2);
-        let both = a.and(&b);
-        assert_eq!(both.keep(), &[false, true, false]);
         let either = a.or(&b);
         assert_eq!(either.keep(), &[true, true, true]);
     }

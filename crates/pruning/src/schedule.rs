@@ -70,16 +70,6 @@ impl LayerSet {
         &mut self.weights
     }
 
-    /// The gradient matrices, if any.
-    pub fn grads(&self) -> Option<&[Matrix]> {
-        self.grads.as_deref()
-    }
-
-    /// Mutable access to the gradients.
-    pub fn grads_mut(&mut self) -> Option<&mut [Matrix]> {
-        self.grads.as_deref_mut()
-    }
-
     /// Total number of weight elements across all layers.
     pub fn total_elements(&self) -> usize {
         self.weights.iter().map(|w| w.len()).sum()
@@ -198,11 +188,6 @@ impl MultiStagePruner {
     pub fn new(config: MultiStageConfig) -> Self {
         assert!(config.stages > 0, "at least one stage is required");
         Self { config }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &MultiStageConfig {
-        &self.config
     }
 
     /// Sparsity target of stage `i` (0-based): a linear ramp from

@@ -171,6 +171,7 @@ impl ServeConfig {
         }
         assert!(!self.classes.is_empty(), "need at least one request class");
         if let Some(depth) = self.admission.max_queue_depth {
+            assert!(depth > 0, "a zero shed depth would shed every request");
             assert!(
                 depth <= self.queue_capacity,
                 "shed depth beyond queue capacity would never trigger"
@@ -308,6 +309,16 @@ mod tests {
         let cfg = ServeConfig {
             queue_capacity: 64,
             admission: AdmissionConfig { max_queue_depth: Some(128), ..Default::default() },
+            ..ServeConfig::default()
+        };
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "zero shed depth")]
+    fn zero_shed_depth_rejected() {
+        let cfg = ServeConfig {
+            admission: AdmissionConfig { max_queue_depth: Some(0), ..Default::default() },
             ..ServeConfig::default()
         };
         cfg.validate();

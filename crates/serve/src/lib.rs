@@ -536,7 +536,8 @@ mod tests {
         let queue = Arc::clone(&server.queue);
         let (report, _) = server.shutdown();
         assert_eq!(report.completed, 1);
-        assert!(queue.is_closed());
+        let late = InferenceRequest::new(1, vec![0.0; 24]);
+        assert!(matches!(queue.try_push(0, late), Err(PushError::Closed(_))));
     }
 
     #[test]

@@ -198,11 +198,6 @@ impl<T> PriorityQueue<T> {
         self.not_full.notify_all();
     }
 
-    /// Whether [`PriorityQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().expect("queue lock poisoned").closed
-    }
-
     /// Number of queued items right now, across all lanes.
     pub fn len(&self) -> usize {
         self.state.lock().expect("queue lock poisoned").len

@@ -114,28 +114,6 @@ impl BsrMatrix {
         1.0 - self.num_blocks() as f64 / total as f64
     }
 
-    /// Fraction of stored values that are zero padding or intra-block zeros.
-    pub fn intra_block_waste(&self) -> f64 {
-        let stored: usize = self.blocks.len() * self.block_size * self.block_size;
-        if stored == 0 {
-            return 0.0;
-        }
-        let nonzeros: usize =
-            self.blocks.iter().map(|b| b.iter().filter(|&&v| v != 0.0).count()).sum();
-        1.0 - nonzeros as f64 / stored as f64
-    }
-
-    /// Element-level sparsity of the logical matrix.
-    pub fn element_sparsity(&self) -> f64 {
-        let total = self.rows * self.cols;
-        if total == 0 {
-            return 0.0;
-        }
-        let nonzeros: usize =
-            self.blocks.iter().map(|b| b.iter().filter(|&&v| v != 0.0).count()).sum();
-        1.0 - nonzeros as f64 / total as f64
-    }
-
     /// Iterator over `(block_row, block_col, payload)`.
     pub fn iter_blocks(&self) -> impl Iterator<Item = (usize, usize, &[f32])> + '_ {
         (0..self.block_rows).flat_map(move |br| {
@@ -167,12 +145,6 @@ impl BsrMatrix {
         self.blocks.len() * self.block_size * self.block_size * elem_size
             + self.block_col_idx.len() * 4
             + self.block_row_ptr.len() * 4
-    }
-
-    /// FLOPs needed to multiply an `m x rows` dense matrix by this BSR matrix
-    /// (only surviving blocks contribute) — what the BW cost model charges.
-    pub fn spmm_flops(&self, m: usize) -> u64 {
-        2 * m as u64 * self.num_blocks() as u64 * (self.block_size * self.block_size) as u64
     }
 }
 
@@ -214,7 +186,6 @@ mod tests {
         let bsr = BsrMatrix::from_dense(&dense, 1);
         assert_eq!(bsr.num_blocks(), dense.count_nonzeros());
         assert!((bsr.block_sparsity() - dense.sparsity()).abs() < 1e-12);
-        assert_eq!(bsr.intra_block_waste(), 0.0);
     }
 
     #[test]
@@ -225,29 +196,6 @@ mod tests {
         assert_eq!(bsr.block_cols(), 3);
         assert_eq!(bsr.num_blocks(), 6);
         assert_eq!(bsr.to_dense(), dense);
-        // Padded entries count as intra-block waste.
-        assert!(bsr.intra_block_waste() > 0.0);
-    }
-
-    #[test]
-    fn element_sparsity_matches_dense() {
-        let dense = block_diag();
-        let bsr = BsrMatrix::from_dense(&dense, 2);
-        assert!((bsr.element_sparsity() - dense.sparsity()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn spmm_flops_scales_with_blocks() {
-        let bsr = BsrMatrix::from_dense(&block_diag(), 2);
-        assert_eq!(bsr.spmm_flops(8), 2 * 8 * 2 * 4);
-    }
-
-    #[test]
-    fn intra_block_waste_counts_zeros_inside_kept_blocks() {
-        let dense = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 0.0]]);
-        let bsr = BsrMatrix::from_dense(&dense, 2);
-        assert_eq!(bsr.num_blocks(), 1);
-        assert!((bsr.intra_block_waste() - 0.75).abs() < 1e-12);
     }
 
     #[test]

@@ -40,19 +40,6 @@ impl CscMatrix {
         Self { rows, cols, col_ptr, row_idx, values }
     }
 
-    /// Builds a CSC matrix from `(row, col, value)` triples.
-    ///
-    /// Duplicate coordinates are summed, mirroring cuSparse's COO-to-CSC
-    /// conversion semantics.
-    pub fn from_triples(rows: usize, cols: usize, triples: &[(usize, usize, f32)]) -> Self {
-        let mut dense = Matrix::zeros(rows, cols);
-        for &(r, c, v) in triples {
-            assert!(r < rows && c < cols, "triple out of range");
-            dense[(r, c)] += v;
-        }
-        Self::from_dense(&dense)
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -66,15 +53,6 @@ impl CscMatrix {
     /// Number of explicitly stored entries.
     pub fn nnz(&self) -> usize {
         self.values.len()
-    }
-
-    /// Fraction of entries that are zero.
-    pub fn sparsity(&self) -> f64 {
-        let total = self.rows * self.cols;
-        if total == 0 {
-            return 0.0;
-        }
-        1.0 - self.nnz() as f64 / total as f64
     }
 
     /// Column pointers.
@@ -116,11 +94,6 @@ impl CscMatrix {
         }
         out
     }
-
-    /// Memory footprint in bytes (values + 4-byte indices/pointers).
-    pub fn storage_bytes(&self, elem_size: usize) -> usize {
-        self.values.len() * elem_size + self.row_idx.len() * 4 + self.col_ptr.len() * 4
-    }
 }
 
 #[cfg(test)]
@@ -153,31 +126,11 @@ mod tests {
     }
 
     #[test]
-    fn from_triples_sums_duplicates() {
-        let csc = CscMatrix::from_triples(2, 2, &[(0, 0, 1.0), (0, 0, 2.0), (1, 1, 5.0)]);
-        assert_eq!(csc.nnz(), 2);
-        assert_eq!(csc.to_dense(), Matrix::from_rows(&[&[3.0, 0.0], &[0.0, 5.0]]));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn from_triples_rejects_out_of_range() {
-        let _ = CscMatrix::from_triples(2, 2, &[(2, 0, 1.0)]);
-    }
-
-    #[test]
     fn col_entries_access() {
         let csc = CscMatrix::from_dense(&paper_example());
         let (rows, vals) = csc.col_entries(1);
         assert_eq!(rows, &[0, 2]);
         assert_eq!(vals, &[1.0, 8.0]);
-    }
-
-    #[test]
-    fn sparsity_and_storage() {
-        let csc = CscMatrix::from_dense(&paper_example());
-        assert!((csc.sparsity() - 11.0 / 16.0).abs() < 1e-12);
-        assert_eq!(csc.storage_bytes(2), 5 * 2 + 5 * 4 + 5 * 4);
     }
 
     #[test]

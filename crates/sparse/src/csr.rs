@@ -36,26 +36,6 @@ impl CsrMatrix {
         Self { rows, cols, row_ptr, col_idx, values }
     }
 
-    /// Builds a CSR matrix directly from raw parts.
-    ///
-    /// # Panics
-    /// Panics if the parts are inconsistent (wrong pointer length, entries
-    /// out of range, or non-monotonic row pointers).
-    pub fn from_parts(
-        rows: usize,
-        cols: usize,
-        row_ptr: Vec<usize>,
-        col_idx: Vec<usize>,
-        values: Vec<f32>,
-    ) -> Self {
-        assert_eq!(row_ptr.len(), rows + 1, "row_ptr must have rows+1 entries");
-        assert_eq!(col_idx.len(), values.len(), "col_idx/values length mismatch");
-        assert_eq!(*row_ptr.last().unwrap_or(&0), col_idx.len(), "row_ptr must end at nnz");
-        assert!(row_ptr.windows(2).all(|w| w[0] <= w[1]), "row_ptr must be non-decreasing");
-        assert!(col_idx.iter().all(|&c| c < cols), "column index out of range");
-        Self { rows, cols, row_ptr, col_idx, values }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -69,15 +49,6 @@ impl CsrMatrix {
     /// Number of explicitly stored (non-zero) entries.
     pub fn nnz(&self) -> usize {
         self.values.len()
-    }
-
-    /// Fraction of entries that are zero.
-    pub fn sparsity(&self) -> f64 {
-        let total = self.rows * self.cols;
-        if total == 0 {
-            return 0.0;
-        }
-        1.0 - self.nnz() as f64 / total as f64
     }
 
     /// Row pointers.
@@ -160,16 +131,9 @@ mod tests {
     }
 
     #[test]
-    fn sparsity_reported() {
-        let csr = CsrMatrix::from_dense(&sample_dense());
-        assert!((csr.sparsity() - 11.0 / 16.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_matrix() {
         let csr = CsrMatrix::from_dense(&Matrix::zeros(3, 3));
         assert_eq!(csr.nnz(), 0);
-        assert_eq!(csr.sparsity(), 1.0);
         assert_eq!(csr.to_dense(), Matrix::zeros(3, 3));
     }
 
@@ -191,24 +155,6 @@ mod tests {
         assert_eq!(vals, &[4.0, 2.0]);
         let (cols, _) = csr.row_entries(0);
         assert_eq!(cols, &[1]);
-    }
-
-    #[test]
-    fn from_parts_validates() {
-        let ok = CsrMatrix::from_parts(2, 2, vec![0, 1, 2], vec![0, 1], vec![1.0, 2.0]);
-        assert_eq!(ok.nnz(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn from_parts_rejects_bad_col() {
-        let _ = CsrMatrix::from_parts(2, 2, vec![0, 1, 2], vec![0, 5], vec![1.0, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-decreasing")]
-    fn from_parts_rejects_unsorted_ptr() {
-        let _ = CsrMatrix::from_parts(2, 2, vec![0, 2, 1], vec![0], vec![1.0]);
     }
 
     #[test]

@@ -17,10 +17,8 @@
 pub mod bsr;
 pub mod csc;
 pub mod csr;
-pub mod mask;
 pub mod spmm;
 
 pub use bsr::BsrMatrix;
 pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
-pub use mask::RowColMask;

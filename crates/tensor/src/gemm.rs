@@ -63,11 +63,6 @@ impl GemmShape {
     pub const fn flops(&self) -> u64 {
         2 * self.m as u64 * self.n as u64 * self.k as u64
     }
-
-    /// Bytes moved assuming each operand is read/written exactly once.
-    pub const fn min_bytes(&self, elem_size: usize) -> u64 {
-        ((self.m * self.k + self.k * self.n + self.m * self.n) * elem_size) as u64
-    }
 }
 
 /// A row-major operand read in place: element `(i, j)` is
@@ -270,10 +265,9 @@ mod tests {
     }
 
     #[test]
-    fn shape_flops_and_bytes() {
+    fn shape_flops() {
         let s = GemmShape::new(128, 768, 768);
         assert_eq!(s.flops(), 2 * 128 * 768 * 768);
-        assert_eq!(s.min_bytes(2), ((128 * 768 + 768 * 768 + 128 * 768) * 2) as u64);
     }
 }
 

@@ -67,11 +67,6 @@ impl ConvShape {
     pub fn gemm_n(&self) -> usize {
         self.out_channels
     }
-
-    /// Number of weight parameters in the convolution.
-    pub fn weight_count(&self) -> usize {
-        self.gemm_k() * self.gemm_n()
-    }
 }
 
 /// Lowers an input feature map (shape `in_channels x in_h x in_w`, stored as
@@ -169,7 +164,6 @@ mod tests {
         assert_eq!(s.gemm_m(), 56 * 56);
         assert_eq!(s.gemm_k(), 64 * 9);
         assert_eq!(s.gemm_n(), 128);
-        assert_eq!(s.weight_count(), 64 * 9 * 128);
     }
 
     #[test]

@@ -244,13 +244,6 @@ impl Matrix {
         Matrix { rows: self.rows, cols: self.cols, data }
     }
 
-    /// Element-wise (Hadamard) product.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), other.shape(), "shape mismatch in hadamard");
-        let data = self.data.iter().zip(&other.data).map(|(a, b)| a * b).collect();
-        Matrix { rows: self.rows, cols: self.cols, data }
-    }
-
     /// Zeroes every element whose corresponding mask entry is `false`.
     ///
     /// The mask must have the same shape as the matrix, in row-major order.
@@ -258,12 +251,6 @@ impl Matrix {
         assert_eq!(keep.len(), self.len(), "mask length mismatch");
         let data = self.data.iter().zip(keep).map(|(&v, &k)| if k { v } else { 0.0 }).collect();
         Matrix { rows: self.rows, cols: self.cols, data }
-    }
-
-    /// Maximum absolute difference from another matrix of the same shape.
-    pub fn max_abs_diff(&self, other: &Matrix) -> f32 {
-        assert_eq!(self.shape(), other.shape(), "shape mismatch in max_abs_diff");
-        self.data.iter().zip(&other.data).map(|(a, b)| (a - b).abs()).fold(0.0, f32::max)
     }
 
     /// True when every element of the two matrices agrees within `tol`
@@ -394,7 +381,6 @@ mod tests {
         let b = Matrix::from_vec(1, 3, vec![4.0, 5.0, 6.0]);
         assert_eq!(a.add(&b).as_slice(), &[5.0, 7.0, 9.0]);
         assert_eq!(b.sub(&a).as_slice(), &[3.0, 3.0, 3.0]);
-        assert_eq!(a.hadamard(&b).as_slice(), &[4.0, 10.0, 18.0]);
     }
 
     #[test]
@@ -424,12 +410,11 @@ mod tests {
     }
 
     #[test]
-    fn max_abs_diff_and_approx_eq() {
+    fn approx_eq_respects_tolerance() {
         let a = Matrix::filled(2, 2, 1.0);
         let mut b = a.clone();
         b.set(1, 1, 1.0005);
         assert!(a.approx_eq(&b, 1e-3));
-        assert!(a.max_abs_diff(&b) < 1e-3);
         b.set(0, 0, 2.0);
         assert!(!a.approx_eq(&b, 1e-3));
     }

@@ -1,6 +1,7 @@
 //! Integration tests asserting that the figure generators reproduce the
 //! *shape* of the paper's results (who wins, by roughly what factor, where
-//! the crossovers fall).  These are the claims EXPERIMENTS.md records.
+//! the crossovers fall).  README's "Figure reproduction" section lists the
+//! binaries that print each figure.
 
 use tilewise::figures;
 
@@ -81,6 +82,20 @@ fn fig11_speedup_scales_and_masking_overhead_shows_at_zero_sparsity() {
     assert!(rows.last().unwrap().speedup > 4.0);
     // FLOPS efficiency eventually collapses as the compute shrinks.
     assert!(rows.last().unwrap().flops_efficiency < rows[1].flops_efficiency);
+}
+
+#[test]
+fn fig12_accuracy_ordering_holds_on_every_model() {
+    for (model, _, points) in figures::fig12_accuracy_all_models(&[0.75]) {
+        let metric = |label: &str| {
+            points.iter().find(|p| p.pattern == label).map(|p| p.metric).expect(label)
+        };
+        let order = ["ew", "tew128-5.0%", "tw128", "vw16", "bw32"].map(metric);
+        assert!(
+            order.windows(2).all(|pair| pair[0] >= pair[1]),
+            "{model}: expected ew >= tew >= tw >= vw >= bw at 75%, got {order:?}"
+        );
+    }
 }
 
 #[test]
