@@ -12,6 +12,7 @@ use tw_gpu_sim::{RunCounters, TwTileShape};
 use tw_models::{
     AccuracyModel, ModelKind, SyntheticModel, SyntheticModelConfig, TaskKind, Workload,
 };
+use tw_pruning::analysis::overall_sparsity;
 use tw_pruning::{
     bw, ew, tew, tw, ImportanceMethod, ImportanceScores, PatternMask, PruningPattern,
     SparsityTarget, TileWiseConfig,
@@ -133,11 +134,7 @@ impl ModelEvaluation {
     ) -> SparseModelReport {
         let (masks, execs) = self.prune_and_map(pattern, sparsity);
 
-        let achieved = {
-            let total: usize = masks.iter().map(|m| m.keep().len()).sum();
-            let pruned: usize = masks.iter().map(|m| m.pruned_count()).sum();
-            pruned as f64 / total.max(1) as f64
-        };
+        let achieved = overall_sparsity(&masks);
         let metric = self.accuracy.metric_for_masks(&self.scores, &masks);
 
         let run = self.planner.plan_model(&self.workload, &execs, cfg);

@@ -3,13 +3,15 @@
 //! This crate ties the substrates together into the system a user of the
 //! paper's artifact would actually adopt:
 //!
-//! * [`TileWiseMatrix`] / [`TewMatrix`] — the executable representation of a
-//!   TW / TEW pruned weight matrix: pre-compacted dense tiles plus row and
-//!   column masks, with a functionally exact `matmul` (checked against dense
-//!   GEMM) and the tile statistics the execution planner consumes.
+//! * [`TileWiseMatrix`] — the executable representation of a TW pruned
+//!   weight matrix: pre-compacted dense tiles plus row and column masks,
+//!   with a functionally exact `matmul` (checked against dense GEMM) and the
+//!   tile statistics the execution planner consumes.
 //! * [`TileWisePruner`] — the high-level pruning pipeline: multi-stage
-//!   global pruning (Algorithm 1) with apriori tuning (Algorithm 2) over a
-//!   whole model's layer set, producing executable sparse matrices.
+//!   global tile-wise pruning (Algorithm 1) with apriori tuning
+//!   (Algorithm 2) over a whole model's layer set, producing executable
+//!   sparse matrices.  The hybrid TEW pattern is evaluated by [`evaluate`]
+//!   and priced by the cost model, not served.
 //! * [`planner`] — the GPU execution planner implementing Sec. VI: masked
 //!   batched GEMM on tensor cores, transpose placement for memory
 //!   coalescing, stream concurrency and kernel fusion, priced by the
@@ -35,7 +37,6 @@ pub mod figures;
 pub mod planner;
 pub mod pruner;
 pub mod session;
-pub mod tew_matrix;
 pub mod tile_matrix;
 
 pub use backend::{AutoPlanner, Backend, BackendParseError, KernelBackend, KernelRegistry};
@@ -43,7 +44,6 @@ pub use evaluate::{ModelEvaluation, SparseModelReport};
 pub use planner::{ExecutionConfig, ExecutionPlanner, TransposeStrategy};
 pub use pruner::{PrunedModel, TileWisePruner, TileWisePrunerConfig};
 pub use session::{DwellModel, InferenceSession};
-pub use tew_matrix::TewMatrix;
 pub use tile_matrix::TileWiseMatrix;
 
 /// Convenience re-export: the pattern taxonomy used across the API surface.

@@ -2,12 +2,13 @@
 //!
 //! [`TileWisePruner`] is the user-facing entry point: give it a model's
 //! layer set and a configuration, and it runs the multi-stage pruning of
-//! Algorithm 1 (with apriori tuning and a fine-tuning hook) and hands back
-//! executable [`TileWiseMatrix`]/[`TewMatrix`] weights plus the per-stage
-//! reports.
+//! Algorithm 1 with the tile-wise pattern (with apriori tuning and a
+//! fine-tuning hook) and hands back executable [`TileWiseMatrix`] weights
+//! plus the per-stage reports.  The hybrid TEW pattern is evaluated through
+//! `tw_pruning::tew` and the cost model, not served.
 
-use crate::tew_matrix::TewMatrix;
 use crate::tile_matrix::TileWiseMatrix;
+use tw_pruning::analysis::overall_sparsity;
 use tw_pruning::{
     AprioriConfig, ImportanceMethod, LayerSet, MultiStageConfig, MultiStagePruner, PatternMask,
     PruneStageReport, PruningPattern, SparsityTarget,
@@ -20,8 +21,6 @@ pub struct TileWisePrunerConfig {
     pub granularity: usize,
     /// Final sparsity target.
     pub target_sparsity: f64,
-    /// Overlay fraction δ; zero gives pure TW, positive gives TEW.
-    pub delta: f64,
     /// Number of prune/fine-tune stages.
     pub stages: usize,
     /// Importance estimator.
@@ -34,13 +33,12 @@ pub struct TileWisePrunerConfig {
 }
 
 impl TileWisePrunerConfig {
-    /// The paper's reference configuration: G = 128, 75% sparsity, pure TW,
+    /// The paper's reference configuration: G = 128, 75% sparsity,
     /// 4 stages, Taylor importance, apriori tuning on.
     pub fn paper_default() -> Self {
         Self {
             granularity: 128,
             target_sparsity: 0.75,
-            delta: 0.0,
             stages: 4,
             importance: ImportanceMethod::Taylor,
             apriori: Some(AprioriConfig::default()),
@@ -58,10 +56,8 @@ impl Default for TileWisePrunerConfig {
 /// The result of pruning one model.
 #[derive(Clone, Debug)]
 pub struct PrunedModel {
-    /// Executable TW weights, one per layer (present for both TW and TEW).
+    /// Executable TW weights, one per layer.
     pub tile_matrices: Vec<TileWiseMatrix>,
-    /// Executable TEW weights when δ > 0.
-    pub tew_matrices: Option<Vec<TewMatrix>>,
     /// Final flat keep masks.
     pub masks: Vec<PatternMask>,
     /// Per-stage pruning reports.
@@ -87,32 +83,20 @@ impl TileWisePruner {
     pub fn new(config: TileWisePrunerConfig) -> Self {
         assert!(config.granularity > 0, "granularity must be positive");
         assert!((0.0..1.0).contains(&config.target_sparsity), "target sparsity must be in [0, 1)");
-        assert!(config.delta >= 0.0, "delta must be non-negative");
         Self { config }
     }
 
     /// Prunes a model in place (its weights end up masked) and returns the
     /// executable sparse representation.
     pub fn prune(&self, layers: &mut LayerSet) -> PrunedModel {
-        let pattern = if self.config.delta > 0.0 {
-            PruningPattern::TileElementWise {
-                granularity: self.config.granularity,
-                delta: self.config.delta,
-            }
-        } else {
-            PruningPattern::TileWise { granularity: self.config.granularity }
-        };
         let ms_config = MultiStageConfig {
             target: SparsityTarget::new(self.config.target_sparsity),
             stages: self.config.stages,
-            pattern,
+            pattern: PruningPattern::TileWise { granularity: self.config.granularity },
             importance: self.config.importance,
             apriori: self.config.apriori,
         };
         let pruner = MultiStagePruner::new(ms_config);
-        // Snapshot the original (dense) weights: the executable matrices are
-        // built from them so that fine-tune boosts during staging do not
-        // change the reference semantics checked by tests.
         let recovery = self.config.fine_tune_recovery;
         let outcome = if recovery > 0.0 {
             pruner.run(layers, tw_models::SyntheticModel::fine_tune_hook(recovery))
@@ -120,24 +104,18 @@ impl TileWisePruner {
             pruner.run(layers, |_, _, _| {})
         };
 
-        let tw_masks = outcome.tw_masks.expect("TW/TEW pruning always yields structured masks");
+        let tw_masks = outcome.tw_masks.expect("TW pruning always yields structured masks");
+        // Built from the pruned, fine-tuned weights, so the executables serve
+        // exactly the model left in `layers`.
         let tile_matrices: Vec<TileWiseMatrix> = layers
             .weights()
             .iter()
             .zip(&tw_masks)
             .map(|(w, m)| TileWiseMatrix::from_mask(w, m))
             .collect();
-        let tew_matrices = outcome.tew_masks.as_ref().map(|tews| {
-            layers.weights().iter().zip(tews).map(|(w, m)| TewMatrix::from_mask(w, m)).collect()
-        });
-        let achieved = {
-            let total: usize = outcome.masks.iter().map(|m| m.keep().len()).sum();
-            let pruned: usize = outcome.masks.iter().map(|m| m.pruned_count()).sum();
-            pruned as f64 / total.max(1) as f64
-        };
+        let achieved = overall_sparsity(&outcome.masks);
         PrunedModel {
             tile_matrices,
-            tew_matrices,
             masks: outcome.masks,
             stages: outcome.stages,
             achieved_sparsity: achieved,
@@ -170,7 +148,6 @@ mod tests {
         let pruner = TileWisePruner::new(TileWisePrunerConfig {
             granularity: 32,
             target_sparsity: 0.7,
-            delta: 0.0,
             stages: 3,
             importance: ImportanceMethod::Taylor,
             apriori: Some(AprioriConfig::default()),
@@ -179,32 +156,12 @@ mod tests {
         let pruned = pruner.prune(&mut layers);
         assert!((pruned.achieved_sparsity - 0.7).abs() < 0.05);
         assert_eq!(pruned.tile_matrices.len(), 2);
-        assert!(pruned.tew_matrices.is_none());
         assert_eq!(pruned.stages.len(), 3);
         assert!(pruned.kept_parameters() > 0);
         // The executable matrices carry the same sparsity as the masks.
         for (tm, mask) in pruned.tile_matrices.iter().zip(&pruned.masks) {
             assert!((tm.sparsity() - mask.sparsity()).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn tew_pipeline_builds_overlay() {
-        let mut layers = small_layers(2);
-        let pruner = TileWisePruner::new(TileWisePrunerConfig {
-            granularity: 32,
-            target_sparsity: 0.75,
-            delta: 0.05,
-            stages: 2,
-            importance: ImportanceMethod::Taylor,
-            apriori: None,
-            fine_tune_recovery: 0.0,
-        });
-        let pruned = pruner.prune(&mut layers);
-        let tew = pruned.tew_matrices.expect("TEW matrices present");
-        let overlay_total: usize = tew.iter().map(|t| t.overlay_nnz()).sum();
-        assert!(overlay_total > 0);
-        assert!((pruned.achieved_sparsity - 0.75).abs() < 0.05);
     }
 
     #[test]
@@ -215,7 +172,6 @@ mod tests {
         let pruner = TileWisePruner::new(TileWisePrunerConfig {
             granularity: 16,
             target_sparsity: 0.6,
-            delta: 0.0,
             stages: 1,
             importance: ImportanceMethod::Magnitude,
             apriori: None,
@@ -225,6 +181,8 @@ mod tests {
         for (tm, w) in pruned.tile_matrices.iter().zip(layers.weights()) {
             assert_eq!(&tm.to_dense(), w);
         }
+        let nonzeros: usize = layers.weights().iter().map(|w| w.len() - w.count_zeros()).sum();
+        assert_eq!(pruned.kept_parameters(), nonzeros);
     }
 
     #[test]

@@ -546,7 +546,6 @@ mod tests {
         let pruner = TileWisePruner::new(TileWisePrunerConfig {
             granularity: 16,
             target_sparsity: 0.5,
-            delta: 0.0,
             stages: 1,
             importance: tw_pruning::ImportanceMethod::Magnitude,
             apriori: None,

@@ -17,6 +17,14 @@ pub fn per_matrix_sparsity(masks: &[PatternMask]) -> Vec<f64> {
     masks.iter().map(|m| m.sparsity()).collect()
 }
 
+/// Overall sparsity of a set of masks: pruned elements over all elements,
+/// 0 for an empty set.  This is what a global sparsity target is met by.
+pub fn overall_sparsity(masks: &[PatternMask]) -> f64 {
+    let total: usize = masks.iter().map(|m| m.keep().len()).sum();
+    let pruned: usize = masks.iter().map(|m| m.pruned_count()).sum();
+    pruned as f64 / total.max(1) as f64
+}
+
 /// The pruning-unit shapes Fig. 6 compares.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum UnitShape {
@@ -129,6 +137,14 @@ mod tests {
         let s = per_matrix_sparsity(&masks);
         assert!((s[0] - 0.75).abs() < 1e-9);
         assert_eq!(s[1], 0.0);
+    }
+
+    #[test]
+    fn overall_sparsity_weighs_masks_by_size() {
+        let masks = vec![ew_mask_75(1), PatternMask::keep_all(8, 8)];
+        let pruned = masks[0].pruned_count();
+        assert_eq!(overall_sparsity(&masks), pruned as f64 / (128 * 128 + 8 * 8) as f64);
+        assert_eq!(overall_sparsity(&[]), 0.0);
     }
 
     #[test]

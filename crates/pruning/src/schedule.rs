@@ -8,12 +8,13 @@
 //! invokes a caller-supplied fine-tuning hook before moving to the next
 //! (larger) sparsity target.
 
+use crate::analysis::overall_sparsity;
 use crate::apriori::{self, AprioriConfig};
 use crate::bw;
 use crate::ew;
 use crate::importance::{ImportanceMethod, ImportanceScores};
 use crate::pattern::{PatternMask, PruningPattern, SparsityTarget};
-use crate::tew::{self, TewMask};
+use crate::tew;
 use crate::tw::{self, TileWiseConfig, TileWiseMask};
 use crate::vw;
 use tw_tensor::Matrix;
@@ -159,8 +160,6 @@ pub struct PruneOutcome {
     /// Structured tile-wise masks when the pattern is TW (or the TW part of
     /// TEW); used by the execution planner.
     pub tw_masks: Option<Vec<TileWiseMask>>,
-    /// Full TEW masks (TW part + overlay) when the pattern is TEW.
-    pub tew_masks: Option<Vec<TewMask>>,
     /// One report per stage, in order.
     pub stages: Vec<PruneStageReport>,
 }
@@ -168,13 +167,7 @@ pub struct PruneOutcome {
 impl PruneOutcome {
     /// Overall achieved sparsity of the final masks.
     pub fn final_sparsity(&self) -> f64 {
-        let total: usize = self.masks.iter().map(|m| m.keep().len()).sum();
-        let pruned: usize = self.masks.iter().map(|m| m.pruned_count()).sum();
-        if total == 0 {
-            0.0
-        } else {
-            pruned as f64 / total as f64
-        }
+        overall_sparsity(&self.masks)
     }
 }
 
@@ -210,24 +203,19 @@ impl MultiStagePruner {
         let mut stage_reports = Vec::with_capacity(self.config.stages);
         let mut final_masks: Vec<PatternMask> = Vec::new();
         let mut final_tw: Option<Vec<TileWiseMask>> = None;
-        let mut final_tew: Option<Vec<TewMask>> = None;
 
         for stage in 0..self.config.stages {
             let stage_sparsity = self.stage_target(stage);
             let target = SparsityTarget::new(stage_sparsity.min(0.9999));
             let scores = layers.importance(self.config.importance);
 
-            let (masks, tw_masks, tew_masks) = self.prune_once(&scores, target);
+            let (masks, tw_masks) = self.prune_once(&scores, target);
 
             // Zero the pruned weights before fine-tuning, as Algorithm 1 does.
             layers.apply_masks(&masks);
             fine_tune(layers, &masks, stage);
 
-            let achieved = {
-                let total: usize = masks.iter().map(|m| m.keep().len()).sum();
-                let pruned: usize = masks.iter().map(|m| m.pruned_count()).sum();
-                pruned as f64 / total.max(1) as f64
-            };
+            let achieved = overall_sparsity(&masks);
             let retained = {
                 let total: f64 = scores.iter().map(|s| s.total()).sum();
                 let kept: f64 = scores.iter().zip(&masks).map(|(s, m)| s.retained(m.keep())).sum();
@@ -246,15 +234,9 @@ impl MultiStagePruner {
 
             final_masks = masks;
             final_tw = tw_masks;
-            final_tew = tew_masks;
         }
 
-        PruneOutcome {
-            masks: final_masks,
-            tw_masks: final_tw,
-            tew_masks: final_tew,
-            stages: stage_reports,
-        }
+        PruneOutcome { masks: final_masks, tw_masks: final_tw, stages: stage_reports }
     }
 
     /// One pruning pass at a fixed sparsity target.
@@ -262,19 +244,17 @@ impl MultiStagePruner {
         &self,
         scores: &[ImportanceScores],
         target: SparsityTarget,
-    ) -> (Vec<PatternMask>, Option<Vec<TileWiseMask>>, Option<Vec<TewMask>>) {
+    ) -> (Vec<PatternMask>, Option<Vec<TileWiseMask>>) {
         match self.config.pattern {
-            PruningPattern::Dense => (
-                scores.iter().map(|s| PatternMask::keep_all(s.rows(), s.cols())).collect(),
-                None,
-                None,
-            ),
-            PruningPattern::ElementWise => (ew::prune_global(scores, target), None, None),
+            PruningPattern::Dense => {
+                (scores.iter().map(|s| PatternMask::keep_all(s.rows(), s.cols())).collect(), None)
+            }
+            PruningPattern::ElementWise => (ew::prune_global(scores, target), None),
             PruningPattern::VectorWise { vector_size } => {
-                (vw::prune_all(scores, vector_size, target), None, None)
+                (vw::prune_all(scores, vector_size, target), None)
             }
             PruningPattern::BlockWise { block_size } => {
-                (bw::prune_global(scores, block_size, target), None, None)
+                (bw::prune_global(scores, block_size, target), None)
             }
             PruningPattern::TileWise { granularity } => {
                 let cfg = TileWiseConfig::with_granularity(granularity);
@@ -282,7 +262,7 @@ impl MultiStagePruner {
                     self.config.apriori.as_ref().map(|a| apriori::derive_hints(scores, target, a));
                 let tw_masks = tw::prune_global(scores, &cfg, target, hints.as_deref());
                 let masks = tw_masks.iter().map(|m| m.to_pattern_mask()).collect();
-                (masks, Some(tw_masks), None)
+                (masks, Some(tw_masks))
             }
             PruningPattern::TileElementWise { granularity, delta } => {
                 let cfg = TileWiseConfig::with_granularity(granularity);
@@ -291,7 +271,7 @@ impl MultiStagePruner {
                 let tew_masks = tew::prune_global(scores, &cfg, target, delta, hints.as_deref());
                 let masks = tew_masks.iter().map(|m| m.combined_mask()).collect();
                 let tw_masks = tew_masks.iter().map(|m| m.tw().clone()).collect();
-                (masks, Some(tw_masks), Some(tew_masks))
+                (masks, Some(tw_masks))
             }
         }
     }
@@ -406,7 +386,6 @@ mod tests {
         for (structured, flat) in tw.iter().zip(&outcome.masks) {
             assert_eq!(&structured.to_pattern_mask(), flat);
         }
-        assert!(outcome.tew_masks.is_none());
     }
 
     #[test]
@@ -417,8 +396,17 @@ mod tests {
             0.7,
         ));
         let outcome = pruner.run(&mut ls, |_, _, _| {});
-        let tew = outcome.tew_masks.expect("TEW masks present");
-        let overlay_total: usize = tew.iter().map(|m| m.overlay_count()).sum();
+        let tw = outcome.tw_masks.expect("TEW keeps its structured TW part");
+        // The overlay: flat masks keep elements the structured masks prune.
+        let overlay_total: usize = tw
+            .iter()
+            .zip(&outcome.masks)
+            .map(|(structured, flat)| {
+                let structured = structured.to_pattern_mask();
+                assert_eq!(structured.or(flat), *flat, "flat masks contain the TW survivors");
+                flat.kept_count() - structured.kept_count()
+            })
+            .sum();
         assert!(overlay_total > 0);
     }
 

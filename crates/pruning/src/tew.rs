@@ -4,9 +4,10 @@
 //! of weights with only TW, and then restores δ percent of the weight
 //! elements with the highest importance scores." (Sec. IV-A)
 //!
-//! The restored elements form an element-wise overlay that is stored in CSC
-//! per tile and executed on the CUDA cores, separately from the dense TW
-//! part (Fig. 4 ④).
+//! The restored elements form an element-wise overlay that the paper stores
+//! in CSC per tile and executes on the CUDA cores, separately from the dense
+//! TW part (Fig. 4 ④).  Here the overlay is priced by the GPU cost model,
+//! not executed on the host.
 
 use crate::apriori::AprioriHints;
 use crate::importance::{largest_k_indices, ImportanceScores};
@@ -22,8 +23,6 @@ pub struct TewMask {
     /// Keep mask of the restored overlay elements only (disjoint from the TW
     /// survivors).
     overlay: PatternMask,
-    /// The requested overlay fraction δ.
-    delta: f64,
 }
 
 impl TewMask {
@@ -35,11 +34,6 @@ impl TewMask {
     /// The overlay keep mask (restored elements only).
     pub fn overlay(&self) -> &PatternMask {
         &self.overlay
-    }
-
-    /// The requested overlay fraction δ.
-    pub fn delta(&self) -> f64 {
-        self.delta
     }
 
     /// Number of restored overlay elements.
@@ -114,7 +108,7 @@ pub fn prune_global(
         overlays[mi].restore(r, c);
     }
 
-    tw_masks.into_iter().zip(overlays).map(|(tw, overlay)| TewMask { tw, overlay, delta }).collect()
+    tw_masks.into_iter().zip(overlays).map(|(tw, overlay)| TewMask { tw, overlay }).collect()
 }
 
 #[cfg(test)]

@@ -5,9 +5,6 @@
 //!
 //! * [`CsrMatrix`] — compressed sparse row, used by the element-wise (EW)
 //!   and vector-wise (VW) baselines (cuSparse SpMM path).
-//! * [`CscMatrix`] — compressed sparse column, used by the TEW pattern's
-//!   element-wise overlay (Sec. IV-A: "each tile stores the EW pattern with
-//!   the compressed sparse column (CSC) format").
 //! * [`BsrMatrix`] — block sparse row with square blocks, the block-wise
 //!   (BW) baseline (BlockSparse library path).
 //! * [`spmm`] — dense x sparse multiplication kernels, functionally exact
@@ -15,10 +12,8 @@
 //!   through `tw-tensor`'s shared GEMM microkernel.
 
 pub mod bsr;
-pub mod csc;
 pub mod csr;
 pub mod spmm;
 
 pub use bsr::BsrMatrix;
-pub use csc::CscMatrix;
 pub use csr::CsrMatrix;

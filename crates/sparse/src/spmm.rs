@@ -10,7 +10,6 @@
 //! paper's Fig. 4.
 
 use crate::bsr::BsrMatrix;
-use crate::csc::CscMatrix;
 use crate::csr::CsrMatrix;
 use tw_tensor::{gemm_strided, GemmShape, Matrix, Strided};
 
@@ -31,29 +30,6 @@ pub fn dense_csr_matmul(a: &Matrix, b: &CsrMatrix) -> Matrix {
             for (&j, &v) in cols.iter().zip(vals) {
                 c_row[j] += aip * v;
             }
-        }
-    }
-    c
-}
-
-/// Dense x CSC: `C = A * B` where `B` is CSC.
-///
-/// This is the kernel used for the TEW element-wise overlay, which the paper
-/// stores in CSC per tile and executes separately from the dense TW part
-/// (exploiting linearity of matrix multiplication).
-pub fn dense_csc_matmul(a: &Matrix, b: &CscMatrix) -> Matrix {
-    assert_eq!(a.cols(), b.rows(), "inner dimension mismatch");
-    let m = a.rows();
-    let n = b.cols();
-    let mut c = Matrix::zeros(m, n);
-    for j in 0..n {
-        let (rows, vals) = b.col_entries(j);
-        for i in 0..m {
-            let mut acc = 0.0;
-            for (&p, &v) in rows.iter().zip(vals) {
-                acc += a.get(i, p) * v;
-            }
-            c[(i, j)] = acc;
         }
     }
     c
@@ -108,14 +84,6 @@ mod tests {
         let b = CsrMatrix::from_dense(&b_dense);
         let reference = gemm(&a, &b_dense);
         assert!(dense_csr_matmul(&a, &b).approx_eq(&reference, DEFAULT_TOL));
-    }
-
-    #[test]
-    fn dense_csc_matches_dense_gemm() {
-        let a = Matrix::random_uniform(7, 10, 1.0, 3);
-        let b_dense = random_sparse(10, 8, 0.25, 4);
-        let b = CscMatrix::from_dense(&b_dense);
-        assert!(dense_csc_matmul(&a, &b).approx_eq(&gemm(&a, &b_dense), DEFAULT_TOL));
     }
 
     #[test]
@@ -187,10 +155,8 @@ mod proptests {
         fn all_formats_agree_with_dense(case in arb_case(), bs in 1usize..6) {
             let reference = gemm(&case.a, &case.b);
             let csr = CsrMatrix::from_dense(&case.b);
-            let csc = CscMatrix::from_dense(&case.b);
             let bsr = BsrMatrix::from_dense(&case.b, bs);
             prop_assert!(dense_csr_matmul(&case.a, &csr).approx_eq(&reference, DEFAULT_TOL));
-            prop_assert!(dense_csc_matmul(&case.a, &csc).approx_eq(&reference, DEFAULT_TOL));
             prop_assert!(dense_bsr_matmul(&case.a, &bsr).approx_eq(&reference, DEFAULT_TOL));
         }
 

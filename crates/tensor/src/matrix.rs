@@ -210,11 +210,6 @@ impl Matrix {
         self.count_zeros() as f64 / self.len() as f64
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
-
     /// Sum of the absolute values of all elements.
     pub fn abs_sum(&self) -> f64 {
         self.data.iter().map(|v| v.abs() as f64).sum()
@@ -234,13 +229,6 @@ impl Matrix {
     pub fn add(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.shape(), other.shape(), "shape mismatch in add");
         let data = self.data.iter().zip(&other.data).map(|(a, b)| a + b).collect();
-        Matrix { rows: self.rows, cols: self.cols, data }
-    }
-
-    /// Element-wise subtraction: `self - other`.
-    pub fn sub(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), other.shape(), "shape mismatch in sub");
-        let data = self.data.iter().zip(&other.data).map(|(a, b)| a - b).collect();
         Matrix { rows: self.rows, cols: self.cols, data }
     }
 
@@ -380,13 +368,11 @@ mod tests {
         let a = Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
         let b = Matrix::from_vec(1, 3, vec![4.0, 5.0, 6.0]);
         assert_eq!(a.add(&b).as_slice(), &[5.0, 7.0, 9.0]);
-        assert_eq!(b.sub(&a).as_slice(), &[3.0, 3.0, 3.0]);
     }
 
     #[test]
     fn norms() {
         let m = Matrix::from_vec(1, 2, vec![3.0, 4.0]);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-6);
         assert!((m.abs_sum() - 7.0).abs() < 1e-12);
     }
 

@@ -63,8 +63,7 @@ pub mod demo {
 pub mod prelude {
     pub use tilewise::{
         AutoPlanner, Backend, ExecutionConfig, InferenceSession, KernelBackend, KernelRegistry,
-        ModelEvaluation, PatternChoice, SparseModelReport, TewMatrix, TileWiseMatrix,
-        TileWisePruner,
+        ModelEvaluation, PatternChoice, SparseModelReport, TileWiseMatrix, TileWisePruner,
     };
     pub use tw_cluster::{
         AutoscalerConfig, BalancerKind, Cluster, ClusterConfig, ClusterReport, LoadBalancer,
@@ -83,6 +82,6 @@ pub mod prelude {
         drive, Admission, AdmissionConfig, ClassPolicy, GpuDwell, MemoryConfig, ServeConfig,
         ServeReport, Server, ShedReason,
     };
-    pub use tw_sparse::{CscMatrix, CsrMatrix};
+    pub use tw_sparse::CsrMatrix;
     pub use tw_tensor::{gemm, Matrix};
 }

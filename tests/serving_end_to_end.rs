@@ -29,7 +29,6 @@ fn pruned_session(seed: u64, backend: Backend) -> Arc<InferenceSession> {
         importance: tile_wise_repro::pruning::ImportanceMethod::Magnitude,
         apriori: None,
         fine_tune_recovery: 0.0,
-        ..TileWisePrunerConfig::paper_default()
     });
     let pruned = pruner.prune(&mut layers);
     Arc::new(InferenceSession::from_pruned(&pruned, backend))
