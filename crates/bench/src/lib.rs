@@ -372,6 +372,7 @@ pub mod report {
             ("scenario", json::string(scenario)),
             ("backend", json::string(backend)),
             ("plan", json::array(report.backend_plan.iter().map(|p| json::string(p)))),
+            ("modelled_plan", json::array(report.modelled_plan.iter().map(|p| json::string(p)))),
             ("workers", workers.to_string()),
             ("requests", report.completed.to_string()),
             ("shed", report.shed.to_string()),
@@ -579,7 +580,10 @@ mod tests {
             Duration::from_secs(2),
             Vec::new(),
         )
-        .with_backend_plan(vec!["tile-wise".into(), "csr".into()]);
+        .with_backend_plan(
+            vec!["tile-wise".into(), "csr".into()],
+            vec!["bsr".into(), "csr".into()],
+        );
 
         let doc = report::serve_run("bursty", "auto", 2, &report);
         let parsed = json::parse(&doc).expect("emitted record parses");
@@ -596,6 +600,8 @@ mod tests {
         );
         let plan = parsed.get("plan").unwrap().as_arr().unwrap();
         assert_eq!(plan[1].as_str(), Some("csr"));
+        let modelled_plan = parsed.get("modelled_plan").unwrap().as_arr().unwrap();
+        assert_eq!(modelled_plan[0].as_str(), Some("bsr"));
         let class_rows = parsed.get("classes").unwrap().as_arr().unwrap();
         assert_eq!(class_rows.len(), 2);
         assert_eq!(class_rows[0].get("name").unwrap().as_str(), Some("interactive"));

@@ -14,9 +14,12 @@
 //! * [`KernelRegistry`] — name → constructor table; registering a new family
 //!   makes it servable end-to-end with no changes to the session, the
 //!   serving runtime or the benchmarks.
-//! * [`AutoPlanner`] — prices every registered family per layer on the
-//!   `tw-gpu-sim` cost model and picks the cheapest, so one session can mix
-//!   kernel families across layers.
+//! * [`AutoPlanner`] — builds every registered family per layer and picks
+//!   twice from those candidates: the host runs the family it measures
+//!   fastest at the design batch (timed once, when the session is built),
+//!   and the simulated device is priced as the family the `tw-gpu-sim`
+//!   cost model prices cheapest.  One session can mix families across
+//!   layers.
 //! * [`Backend`] — the user-facing selection (`FromStr`/`Display`), i.e.
 //!   what a `--backend dense|tw|csr|bsr|auto` flag parses into.
 //!
@@ -67,7 +70,9 @@
 use crate::planner::{ExecutionConfig, ExecutionPlanner, WeightExecution};
 use crate::tile_matrix::TileWiseMatrix;
 use std::fmt;
+use std::hint::black_box;
 use std::str::FromStr;
+use std::time::Instant;
 use tw_gpu_sim::CoreKind;
 use tw_sparse::{spmm, BsrMatrix, CsrMatrix};
 use tw_tensor::{gemm, Matrix};
@@ -85,7 +90,9 @@ pub enum Backend {
     Csr,
     /// BlockSparse-style BSR SpMM baseline.
     Bsr,
-    /// Pick the cost-model-cheapest registered family per layer.
+    /// Per layer, run the registered family the host times fastest at the
+    /// design batch, and price the simulated device as the family the cost
+    /// model prices cheapest (see [`AutoPlanner`]).
     Auto,
 }
 
@@ -400,14 +407,60 @@ impl fmt::Debug for KernelRegistry {
     }
 }
 
-/// Per-layer cost-model planning: price every registered kernel family on
-/// the `tw-gpu-sim` cost model and pick the cheapest.
+/// The family the GPU cost model prices one layer as: its name, its
+/// [`WeightExecution`] (which prices the device dwell) and its resident
+/// bytes (which size VRAM paging).  For an explicitly planned layer it
+/// describes the bound kernel itself; for an auto-planned layer it is the
+/// family the model prices cheapest, which can differ from the kernel the
+/// host runs.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ModelledFamily {
+    /// The family's registry name.
+    pub name: &'static str,
+    /// How the execution planner prices the layer.
+    pub execution: WeightExecution,
+    /// Bytes of the family's executable form.
+    pub resident_bytes: usize,
+}
+
+impl ModelledFamily {
+    /// Describes `kernel` as the cost model sees it.
+    pub fn of(kernel: &dyn KernelBackend) -> Self {
+        Self {
+            name: kernel.name(),
+            execution: kernel.execution(),
+            resident_bytes: kernel.resident_bytes(),
+        }
+    }
+}
+
+/// What [`AutoPlanner::choose`] binds one layer to.
+#[derive(Debug)]
+pub struct LayerChoice {
+    /// The family the host measured fastest at the design batch: the
+    /// kernel a serving worker calls.
+    pub kernel: Box<dyn KernelBackend>,
+    /// The family the cost model prices cheapest: what the simulated device
+    /// runs.
+    pub modelled: ModelledFamily,
+}
+
+/// Per-layer planning over every registered kernel family, with one pick
+/// for each side of the serving stack:
 ///
-/// The planner is greedy per layer, which is exact here: the cost model
-/// prices layers independently, so the per-layer argmin is the whole-model
-/// argmin (up to boundary transposes, which [`ExecutionPlanner::plan_layer`]
-/// charges to every tile-wise layer, making the choice *conservative*
-/// about TW rather than optimistic).
+/// * **Device (modelled).**  Each family is priced on the `tw-gpu-sim` cost
+///   model at the design batch; the cheapest supplies the layer's
+///   [`ModelledFamily`].  Greedy per layer is exact here: the cost model
+///   prices layers independently, so the per-layer argmin is the
+///   whole-model argmin (up to boundary transposes, which
+///   [`ExecutionPlanner::plan_layer`] charges to every tile-wise layer,
+///   making the choice *conservative* about TW rather than optimistic).
+/// * **Host (measured).**  The model prices a V100, not the CPU the
+///   workers run on, so the kernel bound for serving is the one the host
+///   runs fastest: one timed 1-row call per family (after an untimed
+///   warm-up call) screens out any family slower than twice the best, and
+///   the survivor with the lowest median of three calls at the design batch
+///   wins — the setup-time search cuDNN's `cudnnFind*` runs.
 #[derive(Clone, Debug)]
 pub struct AutoPlanner {
     planner: ExecutionPlanner,
@@ -445,34 +498,85 @@ impl AutoPlanner {
         self.planner.plan_layer(self.design_batch, k, n, exec, &self.config).total_time()
     }
 
-    /// Builds every registered family for `tile`, prices each, and returns
-    /// the cheapest kernel.
+    /// Builds every registered family for `tile` and returns the family
+    /// the host runs fastest alongside the family the cost model prices
+    /// cheapest (ties go to the earlier registered family on both sides).
     ///
-    /// Candidates are fully materialized before pricing because a family's
-    /// [`WeightExecution`] comes from its built kernel — the only way an
-    /// *open* registry can price families it knows nothing about.  The cost
-    /// is paid once per layer at session construction, never on the serving
-    /// path; callers planning very large models repeatedly should cache
-    /// sessions rather than re-plan.
+    /// Candidates are fully materialized because a family's
+    /// [`WeightExecution`] and speed come from its built kernel — the only
+    /// way an *open* registry can compare families it knows nothing about.
+    /// Each is screened as soon as it is built, so only the families within
+    /// twice the fastest 1-row call so far stay in memory.  The cost
+    /// (building, plus a few timed calls per family) is paid once per layer
+    /// at session construction, never on the serving path; callers planning
+    /// very large models repeatedly should cache sessions rather than
+    /// re-plan.
     ///
     /// # Panics
     /// Panics if the registry is empty.
-    pub fn choose(
-        &self,
-        registry: &KernelRegistry,
-        tile: &TileWiseMatrix,
-    ) -> Box<dyn KernelBackend> {
+    pub fn choose(&self, registry: &KernelRegistry, tile: &TileWiseMatrix) -> LayerChoice {
         assert!(!registry.is_empty(), "auto-planning needs at least one registered backend");
-        let mut best: Option<(f64, Box<dyn KernelBackend>)> = None;
+        let row = Matrix::random_uniform(1, tile.k(), 1.0, TIMING_SEED);
+        let mut modelled: Option<(f64, ModelledFamily)> = None;
+        // `(seconds of one 1-row call, kernel)` of the families still in the
+        // running.
+        let mut survivors: Vec<(f64, Box<dyn KernelBackend>)> = Vec::new();
         for (_, build) in registry.iter() {
             let kernel = build(tile);
-            let cost = self.price(tile.k(), tile.n(), &kernel.execution());
-            if best.as_ref().is_none_or(|(c, _)| cost < *c) {
-                best = Some((cost, kernel));
+            let family = ModelledFamily::of(kernel.as_ref());
+            let price = self.price(tile.k(), tile.n(), &family.execution);
+            if modelled.as_ref().is_none_or(|(cheapest, _)| price < *cheapest) {
+                modelled = Some((price, family));
             }
+            // The first call pays for cold caches and first-touch
+            // allocations; the second is the one timed.
+            call_seconds(kernel.as_ref(), &row);
+            survivors.push((call_seconds(kernel.as_ref(), &row), kernel));
+            let fastest = survivors.iter().map(|(seconds, _)| *seconds).fold(f64::MAX, f64::min);
+            survivors.retain(|(seconds, _)| *seconds <= 2.0 * fastest);
         }
-        best.expect("non-empty registry").1
+        let kernels = survivors.into_iter().map(|(_, kernel)| kernel).collect();
+        LayerChoice {
+            kernel: self.fastest_at_design_batch(kernels, tile.k()),
+            modelled: modelled.expect("non-empty registry").1,
+        }
     }
+
+    /// The kernel with the lowest median of three calls at the design
+    /// batch.  `k` is the layer's input width.
+    fn fastest_at_design_batch(
+        &self,
+        mut kernels: Vec<Box<dyn KernelBackend>>,
+        k: usize,
+    ) -> Box<dyn KernelBackend> {
+        if kernels.len() == 1 {
+            return kernels.remove(0);
+        }
+        let batch = Matrix::random_uniform(self.design_batch, k, 1.0, TIMING_SEED);
+        let median_seconds = |kernel: &dyn KernelBackend| {
+            let mut calls = [0.0; 3].map(|_| call_seconds(kernel, &batch));
+            calls.sort_unstable_by(f64::total_cmp);
+            calls[1]
+        };
+        let fastest = kernels
+            .iter()
+            .map(|kernel| median_seconds(kernel.as_ref()))
+            .enumerate()
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .map(|(i, _)| i)
+            .expect("the fastest family passes its own screen");
+        kernels.swap_remove(fastest)
+    }
+}
+
+/// Seed of the inputs the host timing calls run on.
+const TIMING_SEED: u64 = 0x7157;
+
+/// Wall-clock seconds of one `forward_batch` call.
+fn call_seconds(kernel: &dyn KernelBackend, inputs: &Matrix) -> f64 {
+    let start = Instant::now();
+    black_box(kernel.forward_batch(black_box(inputs)));
+    start.elapsed().as_secs_f64()
 }
 
 impl Default for AutoPlanner {
@@ -578,13 +682,13 @@ mod tests {
             ([64, 64], 0.1, 8, 4),
         ] {
             let t = tile(dims, sparsity, g, seed);
-            let kernel = auto.choose(&registry, &t);
-            let chosen = auto.price(t.k(), t.n(), &kernel.execution());
+            let modelled = auto.choose(&registry, &t).modelled;
+            let chosen = auto.price(t.k(), t.n(), &modelled.execution);
             let dense = auto.price(t.k(), t.n(), &WeightExecution::Dense);
             assert!(
                 chosen <= dense + 1e-12,
-                "auto chose {} at {:.3e}s, pricier than dense {:.3e}s ({dims:?} s={sparsity})",
-                kernel.name(),
+                "auto modelled {} at {:.3e}s, pricier than dense {:.3e}s ({dims:?} s={sparsity})",
+                modelled.name,
                 chosen,
                 dense,
             );
@@ -599,8 +703,8 @@ mod tests {
         // shapes the same model rightly flips to CSR/dense: launch overhead
         // and the TW boundary transposes dominate small GEMMs.)
         let t = tile([768, 768], 0.75, 128, 21);
-        let kernel = AutoPlanner::v100(256).choose(&KernelRegistry::standard(), &t);
-        assert_eq!(kernel.name(), "tile-wise");
+        let choice = AutoPlanner::v100(256).choose(&KernelRegistry::standard(), &t);
+        assert_eq!(choice.modelled.name, "tile-wise");
     }
 
     #[test]
@@ -608,8 +712,67 @@ mod tests {
         let mut registry = KernelRegistry::empty();
         registry.register("csr", |tile| Box::new(CsrKernel::from_tile(tile)));
         let t = tile([64, 64], 0.5, 16, 8);
-        let kernel = AutoPlanner::default().choose(&registry, &t);
-        assert_eq!(kernel.name(), "csr");
+        let choice = AutoPlanner::default().choose(&registry, &t);
+        assert_eq!(choice.kernel.name(), "csr");
+        assert_eq!(choice.modelled, ModelledFamily::of(choice.kernel.as_ref()));
+    }
+
+    /// Dense GEMM computed 16 times per call: the same output and the same
+    /// modelled execution as [`DenseKernel`], at 16 times its host cost.
+    #[derive(Debug)]
+    struct DenseX16(DenseKernel);
+
+    impl KernelBackend for DenseX16 {
+        fn name(&self) -> &'static str {
+            "dense-x16"
+        }
+        fn forward_batch(&self, inputs: &Matrix) -> Matrix {
+            for _ in 1..16 {
+                black_box(self.0.forward_batch(black_box(inputs)));
+            }
+            self.0.forward_batch(inputs)
+        }
+        fn execution(&self) -> WeightExecution {
+            self.0.execution()
+        }
+        fn resident_bytes(&self) -> usize {
+            self.0.resident_bytes()
+        }
+    }
+
+    fn with_dense_x16(mut registry: KernelRegistry) -> KernelRegistry {
+        registry.register("dense-x16", |tile| Box::new(DenseX16(DenseKernel::from_tile(tile))));
+        registry
+    }
+
+    #[test]
+    fn host_pick_never_binds_a_sixteen_times_slower_family() {
+        let t = tile([256, 256], 0.75, 32, 12);
+        let registry = with_dense_x16(KernelRegistry::standard());
+        let inputs = Matrix::random_uniform(3, 256, 1.0, 4);
+        let expected = DenseKernel::from_tile(&t).forward_batch(&inputs);
+        let choice = AutoPlanner::default().choose(&registry, &t);
+        assert_ne!(choice.kernel.name(), "dense-x16");
+        assert!(choice.kernel.forward_batch(&inputs).approx_eq(&expected, DEFAULT_TOL));
+    }
+
+    #[test]
+    fn host_pick_binds_dense_over_its_sixteen_times_slower_twin() {
+        // Both families price identically on the model, so the modelled
+        // pick is the first registered; the host pick is the fast one, and
+        // the session's plan names both.
+        let t = tile([256, 256], 0.75, 32, 13);
+        let mut registry = with_dense_x16(KernelRegistry::empty());
+        registry.register("dense", |tile| Box::new(DenseKernel::from_tile(tile)));
+        let session = InferenceSession::with_named_plan(
+            vec![t],
+            &["auto"],
+            &registry,
+            &AutoPlanner::default(),
+        );
+        assert_eq!(session.layer_backends(), vec!["dense"]);
+        assert_eq!(session.modelled_backends(), vec!["dense-x16"]);
+        assert_eq!(session.plan_summary(), "dense (model: dense-x16)");
     }
 
     #[test]

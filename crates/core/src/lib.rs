@@ -25,7 +25,8 @@
 //!   trait (batched forward, cost-model pricing, resident bytes), the four
 //!   built-in families (dense / tile-wise / CSR / BSR), the
 //!   [`KernelRegistry`] new families plug into, and the [`AutoPlanner`]
-//!   that picks the cost-model-cheapest family per layer.
+//!   that binds per layer the family the host times fastest and prices the
+//!   simulated device as the family the cost model prices cheapest.
 //! * [`session`] — [`InferenceSession`], the executable forward pass the
 //!   `tw-serve` runtime drives: batched CPU inference over the pruned
 //!   weights with a (possibly heterogeneous) kernel backend per layer,

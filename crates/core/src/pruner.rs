@@ -8,7 +8,6 @@
 //! `tw_pruning::tew` and the cost model, not served.
 
 use crate::tile_matrix::TileWiseMatrix;
-use tw_pruning::analysis::overall_sparsity;
 use tw_pruning::{
     AprioriConfig, ImportanceMethod, LayerSet, MultiStageConfig, MultiStagePruner, PatternMask,
     PruneStageReport, PruningPattern, SparsityTarget,
@@ -62,14 +61,16 @@ pub struct PrunedModel {
     pub masks: Vec<PatternMask>,
     /// Per-stage pruning reports.
     pub stages: Vec<PruneStageReport>,
-    /// Overall achieved sparsity.
+    /// Overall achieved sparsity: the share of weights that are zero.
     pub achieved_sparsity: f64,
 }
 
 impl PrunedModel {
-    /// Total surviving parameters across all layers.
+    /// Total non-zero parameters across all layers.  With several stages
+    /// this can be below the final masks' kept count: a weight an earlier
+    /// stage zeroed stays zero even where the final mask keeps it.
     pub fn kept_parameters(&self) -> usize {
-        self.tile_matrices.iter().map(|t| t.kept_elements()).sum()
+        self.tile_matrices.iter().map(TileWiseMatrix::count_nonzeros).sum()
     }
 }
 
@@ -113,13 +114,15 @@ impl TileWisePruner {
             .zip(&tw_masks)
             .map(|(w, m)| TileWiseMatrix::from_mask(w, m))
             .collect();
-        let achieved = overall_sparsity(&outcome.masks);
-        PrunedModel {
+        let mut pruned = PrunedModel {
             tile_matrices,
             masks: outcome.masks,
             stages: outcome.stages,
-            achieved_sparsity: achieved,
-        }
+            achieved_sparsity: 0.0,
+        };
+        let total: usize = pruned.tile_matrices.iter().map(|t| t.k() * t.n()).sum();
+        pruned.achieved_sparsity = (total - pruned.kept_parameters()) as f64 / total.max(1) as f64;
+        pruned
     }
 }
 
@@ -167,22 +170,34 @@ mod tests {
     #[test]
     fn executable_weights_match_pruned_layer_weights() {
         // After pruning, the layer set's weights are masked; the executable
-        // representation must reconstruct exactly those masked weights.
-        let mut layers = small_layers(3);
-        let pruner = TileWisePruner::new(TileWisePrunerConfig {
-            granularity: 16,
-            target_sparsity: 0.6,
-            stages: 1,
-            importance: ImportanceMethod::Magnitude,
-            apriori: None,
-            fine_tune_recovery: 0.0,
-        });
-        let pruned = pruner.prune(&mut layers);
-        for (tm, w) in pruned.tile_matrices.iter().zip(layers.weights()) {
-            assert_eq!(&tm.to_dense(), w);
+        // representation must reconstruct exactly those masked weights, and
+        // the reported counts must be those weights' non-zeros.  The second
+        // case runs three stages, where the final masks keep positions an
+        // earlier stage already zeroed (3,674 kept positions, 3,596
+        // non-zeros).
+        let cases = [
+            (3, 16, 0.6, 1, ImportanceMethod::Magnitude, None, 0.0),
+            (1, 32, 0.7, 3, ImportanceMethod::Taylor, Some(AprioriConfig::default()), 0.0),
+        ];
+        for (seed, granularity, target_sparsity, stages, importance, apriori, recovery) in cases {
+            let mut layers = small_layers(seed);
+            let pruner = TileWisePruner::new(TileWisePrunerConfig {
+                granularity,
+                target_sparsity,
+                stages,
+                importance,
+                apriori,
+                fine_tune_recovery: recovery,
+            });
+            let pruned = pruner.prune(&mut layers);
+            for (tm, w) in pruned.tile_matrices.iter().zip(layers.weights()) {
+                assert_eq!(&tm.to_dense(), w);
+            }
+            let nonzeros: usize = layers.weights().iter().map(|w| w.count_nonzeros()).sum();
+            let total: usize = layers.weights().iter().map(|w| w.len()).sum();
+            assert_eq!(pruned.kept_parameters(), nonzeros, "{stages} stage(s)");
+            assert_eq!(pruned.achieved_sparsity, (total - nonzeros) as f64 / total as f64);
         }
-        let nonzeros: usize = layers.weights().iter().map(|w| w.len() - w.count_zeros()).sum();
-        assert_eq!(pruned.kept_parameters(), nonzeros);
     }
 
     #[test]

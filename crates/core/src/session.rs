@@ -9,15 +9,16 @@
 //! so a serving tier can overlap simulated device time with CPU execution.
 //!
 //! Backend selection is either explicit (a [`Backend`] per layer) or
-//! delegated to the [`AutoPlanner`], which prices every registered kernel
-//! family per layer and picks the cheapest.
+//! delegated to the [`AutoPlanner`], which binds per layer the registered
+//! family the host runs fastest and prices the simulated device as the
+//! family the cost model prices cheapest.
 //!
 //! All backends are functionally equivalent: batching requests as rows of
 //! one activation matrix commutes with the per-layer `matmul + ReLU`
 //! pipeline, so a batched sparse forward pass reproduces per-request dense
 //! results within kernel tolerance — the property `tests/` pins down.
 
-use crate::backend::{AutoPlanner, Backend, KernelBackend, KernelRegistry};
+use crate::backend::{AutoPlanner, Backend, KernelBackend, KernelRegistry, ModelledFamily};
 use crate::planner::{ExecutionConfig, ExecutionPlanner, WeightExecution};
 use crate::pruner::PrunedModel;
 use crate::tile_matrix::TileWiseMatrix;
@@ -25,18 +26,20 @@ use tw_gpu_sim::{Calibration, CoreKind, CostModel, GpuDevice, RunCounters, Strea
 use tw_models::{ModelKind, PrunableGemm, Workload};
 use tw_tensor::Matrix;
 
-/// One layer: the kernel executing it plus the shape/sparsity metadata the
-/// planner and the admission checks need.  The pruned tile itself is *not*
-/// retained: after construction the kernel's executable form is the only
-/// resident copy of the weights (a session is long-lived and shared by
-/// every serving worker, so holding the source tile alongside e.g. a dense
-/// copy would double model memory for nothing).
+/// One layer: the kernel executing it, the family the device model prices
+/// it as, and the shape/sparsity metadata the planner and the admission
+/// checks need.  The pruned tile itself is *not* retained: after
+/// construction the kernel's executable form is the only resident copy of
+/// the weights (a session is long-lived and shared by every serving
+/// worker, so holding the source tile alongside e.g. a dense copy would
+/// double model memory for nothing).
 #[derive(Debug)]
 struct SessionLayer {
     k: usize,
     n: usize,
     kept_elements: usize,
     kernel: Box<dyn KernelBackend>,
+    modelled: ModelledFamily,
 }
 
 /// An executable pruned model plus the planner that prices its batches.
@@ -117,21 +120,25 @@ impl InferenceSession {
             .into_iter()
             .zip(plan)
             .map(|(tile, &name)| {
-                let kernel = if name == Backend::Auto.as_str() {
-                    auto.choose(registry, &tile)
+                let (kernel, modelled) = if name == Backend::Auto.as_str() {
+                    let choice = auto.choose(registry, &tile);
+                    (choice.kernel, choice.modelled)
                 } else {
-                    registry.build(name, &tile).unwrap_or_else(|| {
+                    let kernel = registry.build(name, &tile).unwrap_or_else(|| {
                         panic!(
                             "backend {name:?} is not registered (available: {})",
                             registry.names().join(", ")
                         )
-                    })
+                    });
+                    let modelled = ModelledFamily::of(kernel.as_ref());
+                    (kernel, modelled)
                 };
                 SessionLayer {
                     k: tile.k(),
                     n: tile.n(),
                     kept_elements: tile.kept_elements(),
                     kernel,
+                    modelled,
                 }
             })
             .collect();
@@ -207,27 +214,45 @@ impl InferenceSession {
         Self::new(Self::synthetic_tiles(dims, sparsity, granularity, seed), backend)
     }
 
-    /// The resolved kernel family of every layer, in layer order.  `Auto`
-    /// selections appear as the family the planner actually picked.
+    /// The kernel family every layer runs on the host, in layer order.
+    /// `Auto` layers name the family the auto-planner timed fastest.
     pub fn layer_backends(&self) -> Vec<&'static str> {
         self.layers.iter().map(|l| l.kernel.name()).collect()
     }
 
-    /// Compact `a,b,c` rendering of [`Self::layer_backends`] for reports.
-    pub fn plan_summary(&self) -> String {
-        self.layer_backends().join(",")
+    /// The family the device model prices every layer as, in layer order.
+    /// Equal to [`Self::layer_backends`] except where an `Auto` layer's
+    /// cost-model pick differs from the kernel the host runs.
+    pub fn modelled_backends(&self) -> Vec<&'static str> {
+        self.layers.iter().map(|l| l.modelled.name).collect()
     }
 
-    /// Bytes of executable weight forms resident per serving replica.
+    /// Compact `a,b,c` rendering of the plan for reports; a layer whose
+    /// modelled family differs from its host kernel reads
+    /// `tile-wise (model: bsr)`.
+    pub fn plan_summary(&self) -> String {
+        let layers: Vec<String> = self
+            .layers
+            .iter()
+            .map(|l| match (l.kernel.name(), l.modelled.name) {
+                (host, model) if host == model => host.to_string(),
+                (host, model) => format!("{host} (model: {model})"),
+            })
+            .collect();
+        layers.join(",")
+    }
+
+    /// Bytes of the modelled families' weight forms — what a simulated
+    /// device keeps resident per serving replica.
     pub fn resident_bytes(&self) -> usize {
-        self.layers.iter().map(|l| l.kernel.resident_bytes()).sum()
+        self.layers.iter().map(|l| l.modelled.resident_bytes).sum()
     }
 
     /// Per-layer breakdown of [`Self::resident_bytes`], in layer order —
     /// the footprint source a memory manager (`tw-memory`) derives its
     /// paging tiles from.
     pub fn layer_resident_bytes(&self) -> Vec<usize> {
-        self.layers.iter().map(|l| l.kernel.resident_bytes()).collect()
+        self.layers.iter().map(|l| l.modelled.resident_bytes).collect()
     }
 
     /// Number of weight layers.
@@ -305,12 +330,12 @@ impl InferenceSession {
         }
     }
 
-    /// Prices one batch on the GPU cost model, with the per-layer execution
-    /// form reported by each layer's kernel.
+    /// Prices one batch on the GPU cost model, with each layer executed as
+    /// its modelled family.
     pub fn plan_batch(&self, batch_size: usize) -> RunCounters {
         let workload = self.workload_for_batch(batch_size);
         let execs: Vec<WeightExecution> =
-            self.layers.iter().map(|layer| layer.kernel.execution()).collect();
+            self.layers.iter().map(|layer| layer.modelled.execution.clone()).collect();
         self.planner.plan_model(&workload, &execs, &self.exec_config)
     }
 
@@ -448,6 +473,7 @@ mod tests {
         assert_eq!(s.output_dim(), 32);
         assert!((s.sparsity() - 0.6).abs() < 0.05, "sparsity {}", s.sparsity());
         assert_eq!(s.layer_backends(), vec!["tile-wise", "tile-wise"]);
+        assert_eq!(s.modelled_backends(), s.layer_backends());
         assert_eq!(s.plan_summary(), "tile-wise,tile-wise");
         assert!(s.resident_bytes() > 0);
     }
@@ -455,13 +481,21 @@ mod tests {
     #[test]
     fn resident_bytes_are_pinned_at_the_benchmark_shapes() {
         // The benchmark's `weights_mb` figures: the 512-1024-512 host model
-        // (auto binds [bsr,bsr]) and the fleet's three 192-192-96 models
-        // (pruning seeds 42, 1042, 2042), all at 75% sparsity with G = 32.
-        // Kernel rewrites must not change any family's footprint.
+        // (auto models it as [bsr,bsr], whatever kernel the host runs) and
+        // the fleet's three 192-192-96 models (pruning seeds 42, 1042,
+        // 2042), all at 75% sparsity with G = 32.  Kernel rewrites must not
+        // change any family's footprint.
         let host = InferenceSession::synthetic_tiles(&[512, 1024, 512], 0.75, 32, 42);
         let auto = InferenceSession::with_plan(host.clone(), &[Backend::Auto; 2]);
-        assert_eq!(auto.layer_backends(), vec!["bsr", "bsr"]);
+        assert_eq!(auto.modelled_backends(), vec!["bsr", "bsr"]);
         assert_eq!(auto.resident_bytes(), 4_198_600);
+        // The device side of an auto session is exactly the fixed BSR plan.
+        let bsr = InferenceSession::with_plan(host.clone(), &[Backend::Bsr; 2]);
+        let bits = |s: &InferenceSession| -> Vec<u64> {
+            s.dwell_model(8).seconds.iter().map(|t| t.to_bits()).collect()
+        };
+        assert_eq!(bits(&auto), bits(&bsr));
+        assert_eq!(auto.layer_resident_bytes(), bsr.layer_resident_bytes());
         let fleet: Vec<Vec<TileWiseMatrix>> = (0..3)
             .map(|i| InferenceSession::synthetic_tiles(&[192, 192, 96], 0.75, 32, 42 + 1000 * i))
             .collect();
@@ -511,7 +545,7 @@ mod tests {
     #[test]
     fn auto_sessions_report_resolved_families() {
         let s = session(Backend::Auto);
-        for name in s.layer_backends() {
+        for name in s.layer_backends().into_iter().chain(s.modelled_backends()) {
             assert_ne!(name, "auto");
         }
         // The auto plan prices each batch no worse than the all-dense plan.

@@ -91,6 +91,13 @@ impl TileWiseMatrix {
         self.tiles.iter().map(|t| t.payload.len()).sum()
     }
 
+    /// Number of stored weights that are non-zero: [`Self::kept_elements`]
+    /// less the kept positions whose weight is exactly zero (e.g. zeroed by
+    /// an earlier pruning stage than the one that produced the mask).
+    pub fn count_nonzeros(&self) -> usize {
+        self.tiles.iter().map(|t| t.payload.count_nonzeros()).sum()
+    }
+
     /// Achieved element sparsity.
     pub fn sparsity(&self) -> f64 {
         let total = self.k * self.n;

@@ -391,8 +391,8 @@ impl Server {
             } else {
                 Vec::new()
             };
-        let backend_plan =
-            self.models[0].session.layer_backends().iter().map(|name| name.to_string()).collect();
+        let session = &self.models[0].session;
+        let names = |plan: Vec<&str>| plan.into_iter().map(String::from).collect();
         let report = ServeReport::from_observations(
             &observations,
             &shed,
@@ -401,7 +401,7 @@ impl Server {
             self.started.elapsed(),
             worker_stats,
         )
-        .with_backend_plan(backend_plan);
+        .with_backend_plan(names(session.layer_backends()), names(session.modelled_backends()));
         (report, responses)
     }
 }

@@ -252,9 +252,14 @@ pub struct ServeReport {
     /// Per-model breakdowns, in registry order.  Empty for single-model
     /// reports without memory management (the legacy shape).
     pub models: Vec<ModelStats>,
-    /// Resolved kernel family of each served layer, in layer order (empty
-    /// when the report was built without a session, e.g. in unit tests).
+    /// Kernel family each served layer runs on the host, in layer order
+    /// (empty when the report was built without a session, e.g. in unit
+    /// tests).
     pub backend_plan: Vec<String>,
+    /// Family the device model prices each served layer as, in layer order
+    /// (differs from `backend_plan` where an auto-planned layer's host and
+    /// cost-model picks differ).
+    pub modelled_plan: Vec<String>,
 }
 
 /// The statistics a server and a fleet both report, built from the same
@@ -343,6 +348,7 @@ impl ServeReport {
             bytes_paged,
             models: Vec::new(),
             backend_plan: Vec::new(),
+            modelled_plan: Vec::new(),
         }
     }
 
@@ -371,9 +377,15 @@ impl ServeReport {
         }
     }
 
-    /// Attaches the served model's per-layer backend plan to the report.
-    pub fn with_backend_plan(mut self, backend_plan: Vec<String>) -> Self {
+    /// Attaches the served model's per-layer plans to the report: the
+    /// families the host runs and the families the device model prices.
+    pub fn with_backend_plan(
+        mut self,
+        backend_plan: Vec<String>,
+        modelled_plan: Vec<String>,
+    ) -> Self {
         self.backend_plan = backend_plan;
+        self.modelled_plan = modelled_plan;
         self
     }
 
@@ -510,7 +522,10 @@ mod tests {
             },
         ];
         let report = ServeReport::from_latencies(latencies, Duration::from_secs(2), workers)
-            .with_backend_plan(vec!["tile-wise".into(), "csr".into()]);
+            .with_backend_plan(
+                vec!["tile-wise".into(), "csr".into()],
+                vec!["tile-wise".into(), "csr".into()],
+            );
         assert_eq!(report.completed, 10);
         assert!(report.summary().contains("plan [tile-wise,csr]"));
         assert_eq!(report.batches, 2);

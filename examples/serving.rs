@@ -10,9 +10,11 @@ use tile_wise_repro::prelude::*;
 
 fn main() {
     // 1. An executable pruned model: three layers at 75% tile-wise sparsity,
-    //    with `Backend::Auto` letting the cost model pick each layer's
-    //    kernel family (dense / tile-wise / CSR / BSR) individually — the
-    //    shared demo setup all serving examples use.
+    //    with `Backend::Auto` binding each layer to the kernel family
+    //    (dense / tile-wise / CSR / BSR) this host runs fastest, timed as
+    //    the session is built, while the simulated GPU is priced as the
+    //    family the cost model prices cheapest — the shared demo setup all
+    //    serving examples use.
     let session = tile_wise_repro::demo::announced_session(&[256, 256, 128, 32]);
     println!("{} resident weight bytes", session.resident_bytes());
 

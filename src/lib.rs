@@ -23,8 +23,9 @@ pub use tw_tensor as tensor;
 
 /// Shared setup for the serving-flavoured examples (`serving`,
 /// `traffic_scenarios`, `cluster`): build the auto-planned synthetic pruned
-/// chain they all serve and print the one banner they all printed by hand
-/// before.
+/// chain they all serve (each layer runs the family the host times fastest
+/// and is priced as the family the cost model prices cheapest) and print
+/// the one banner they all printed by hand before.
 pub mod demo {
     use std::sync::Arc;
     use tilewise::{Backend, InferenceSession};
@@ -44,7 +45,8 @@ pub mod demo {
     }
 
     /// Builds the auto-planned demo session over `dims` and prints the
-    /// standard banner (layer count, plan, dims, sparsity).
+    /// standard banner (layer count, plan with any differing modelled
+    /// family, dims, sparsity).
     pub fn announced_session(dims: &[usize]) -> Arc<InferenceSession> {
         let session = Arc::new(InferenceSession::new(tiles(dims), Backend::Auto));
         println!(

@@ -2,7 +2,7 @@
 //!
 //! The refactor's core guarantee: *any* assignment of kernel families to
 //! layers — dense, tile-wise, CSR, the executable BSR backend, or the
-//! cost-model auto-planner — produces batched results identical (within
+//! auto-planner — produces batched results identical (within
 //! kernel tolerance) to the unbatched dense reference.  Backend choice is a
 //! performance decision, never a correctness one.
 
@@ -36,10 +36,11 @@ proptest! {
         let dense = InferenceSession::with_plan(tiles.clone(), &vec![Backend::Dense; num_layers]);
         let mixed = InferenceSession::with_plan(tiles, &plan);
 
-        // Every layer resolved to a concrete registered family.
+        // Every layer resolved to a concrete registered family, on the host
+        // and on the modelled device.
         let resolved = mixed.layer_backends();
         prop_assert_eq!(resolved.len(), num_layers);
-        for name in &resolved {
+        for name in resolved.iter().chain(&mixed.modelled_backends()) {
             prop_assert!(*name != "auto", "layer left unresolved in {:?}", resolved);
         }
 
@@ -63,9 +64,9 @@ proptest! {
         }
     }
 
-    /// The auto-planner never prices its choice worse than the dense
-    /// fallback, whatever the layer shape — so `--backend auto` can only
-    /// improve on `--backend dense` under the cost model.
+    /// The auto-planner's modelled family is never priced worse than the
+    /// dense fallback, whatever the layer shape — so `--backend auto` can
+    /// only improve on `--backend dense` under the cost model.
     #[test]
     fn auto_plan_never_priced_worse_than_dense(
         k in 16usize..128,
@@ -79,13 +80,13 @@ proptest! {
         let tile = InferenceSession::synthetic_tiles(&[k, n], sparsity, granularity, seed).remove(0);
         let registry = KernelRegistry::standard();
         let auto = AutoPlanner::v100(design_batch);
-        let kernel = auto.choose(&registry, &tile);
-        let chosen = auto.price(k, n, &kernel.execution());
+        let modelled = auto.choose(&registry, &tile).modelled;
+        let chosen = auto.price(k, n, &modelled.execution);
         let dense = auto.price(k, n, &WeightExecution::Dense);
         prop_assert!(
             chosen <= dense + 1e-15,
-            "auto chose {} at {:.3e}s but dense costs {:.3e}s (k={} n={} s={:.2})",
-            kernel.name(), chosen, dense, k, n, sparsity
+            "auto modelled {} at {:.3e}s but dense costs {:.3e}s (k={} n={} s={:.2})",
+            modelled.name, chosen, dense, k, n, sparsity
         );
     }
 }

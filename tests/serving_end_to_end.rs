@@ -91,8 +91,9 @@ fn bsr_and_auto_backends_serve_dense_results() {
             &[0],
         );
         assert_eq!(report.completed, 60, "{backend} lost requests");
-        assert_eq!(report.backend_plan.len(), session.num_layers());
-        for name in &report.backend_plan {
+        assert_eq!(report.backend_plan, session.layer_backends());
+        assert_eq!(report.modelled_plan, session.modelled_backends());
+        for name in report.backend_plan.iter().chain(&report.modelled_plan) {
             assert_ne!(name, "auto", "auto must resolve to a concrete kernel family");
         }
         for response in &responses {
