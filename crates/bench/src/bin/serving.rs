@@ -473,11 +473,13 @@ fn run_cluster(
             "cluster lost requests under {balancer}"
         );
 
+        let plans: Vec<String> =
+            report.replicas.iter().map(|r| r.report.backend_plan.join("+")).collect();
         csv_row(&[
             opts.scenario.as_str().to_string(),
             label.clone(),
-            report.replicas.iter().map(|r| r.plan.join("+")).collect::<Vec<_>>().join("|"),
-            report.replicas.iter().map(|r| r.workers).sum::<usize>().to_string(),
+            plans.join("|"),
+            report.replicas.iter().map(|r| r.report.workers.len()).sum::<usize>().to_string(),
             report.completed.to_string(),
             report.shed.to_string(),
             fmt(report.throughput_rps()),

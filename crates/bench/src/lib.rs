@@ -404,15 +404,15 @@ pub mod report {
             json::object(&[
                 ("name", json::string(&r.name)),
                 ("device", json::string(&r.device)),
-                ("workers", r.workers.to_string()),
-                ("plan", json::array(r.plan.iter().map(|p| json::string(p)))),
+                ("workers", r.report.workers.len().to_string()),
+                ("plan", json::array(r.report.backend_plan.iter().map(|p| json::string(p)))),
                 ("routed", r.routed.to_string()),
                 ("completed", r.report.completed.to_string()),
                 ("shed", r.report.shed.to_string()),
                 ("p99_ms", json::number(r.report.latency.p99_s * 1e3)),
             ])
         }));
-        let total_workers: usize = report.replicas.iter().map(|r| r.workers).sum();
+        let total_workers: usize = report.replicas.iter().map(|r| r.report.workers.len()).sum();
         let mut fields = vec![
             ("scenario", json::string(scenario)),
             ("backend", json::string(backend)),
@@ -613,18 +613,17 @@ mod tests {
     fn cluster_run_record_round_trips_through_parse() {
         use std::time::Duration;
         use tw_cluster::{ClusterReport, ReplicaReport};
-        use tw_serve::{LatencySummary, ServeReport};
+        use tw_serve::{LatencySummary, ServeReport, WorkerStats};
         let replica = |name: &str, workers: usize, completed: usize| ReplicaReport {
             name: name.into(),
             device: "a100".into(),
-            workers,
-            plan: vec!["bsr".into(), "bsr".into()],
             routed: completed,
             report: ServeReport::from_latencies(
                 vec![0.01; completed],
                 Duration::from_secs(1),
-                Vec::new(),
-            ),
+                vec![WorkerStats::default(); workers],
+            )
+            .with_backend_plan(vec!["bsr".into(), "bsr".into()], vec!["bsr".into(), "bsr".into()]),
         };
         let report = ClusterReport {
             balancer: "jsq".into(),

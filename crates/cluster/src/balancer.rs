@@ -1,30 +1,50 @@
-//! Pluggable request routing across replicas.
+//! Request routing across replicas.
 //!
-//! A balancer sees one [`ReplicaProbe`] per live replica — queue depth, the
+//! The router sees one [`ReplicaProbe`] per live replica — queue depth, the
 //! class-aware backlog a new arrival would wait behind, the cost-model
 //! predicted wait for that backlog, and the replica's worker count — and
-//! picks one.  The four built-in policies cover the classic trade-offs:
+//! picks one.  The five built-in policies ([`BalancerKind`]) cover the
+//! classic trade-offs:
 //!
-//! * [`RoundRobin`] — state-only, load-blind.  The baseline every informed
-//!   policy must beat on heterogeneous replicas.
-//! * [`JoinShortestQueue`] — full information, picks the globally shallowest
-//!   queue.  Optimal for homogeneous replicas, but treats a queue of 4 on a
-//!   1-worker midrange replica the same as on a 4-worker A100.
-//! * [`PowerOfTwoChoices`] — samples two replicas and takes the shallower:
-//!   most of JSQ's benefit at O(1) probe cost (the "power of two choices"
-//!   result), and the policy large fleets actually deploy.
-//! * [`LeastPredictedWait`] — prices each replica's backlog with its own
-//!   cost model (`InferenceSession::dwell_model` by way of
+//! * [`BalancerKind::RoundRobin`] — state-only, load-blind.  The baseline
+//!   every informed policy must beat on heterogeneous replicas.
+//! * [`BalancerKind::JoinShortestQueue`] — full information, picks the
+//!   globally shallowest queue (ties: the smaller class-aware backlog, then
+//!   the lower index).  Optimal for homogeneous replicas, but treats a
+//!   queue of 4 on a 1-worker midrange replica the same as on a 4-worker
+//!   A100.
+//! * [`BalancerKind::PowerOfTwoChoices`] — samples two distinct replicas
+//!   uniformly (seeded, so runs replay deterministically) and takes the
+//!   shallower: most of JSQ's benefit at O(1) probe cost (the "power of two
+//!   choices" result), and the policy large fleets actually deploy.
+//! * [`BalancerKind::LeastPredictedWait`] — prices each replica's backlog
+//!   with its own cost model (`InferenceSession::dwell_model` by way of
 //!   `Server::predicted_wait`): batches ahead x that replica's batch dwell /
 //!   its worker count.  The only policy that sees *heterogeneity* — a deep
-//!   queue on a fast wide replica can still be the cheapest seat.
-//! * [`ResidencyAware`] — the memory-aware policy: prefers replicas where
-//!   the request's *model* is already warm in VRAM (affinity routing), so
-//!   a paging fleet stops thrashing tiles back and forth; queue depth
-//!   breaks ties among equally-warm replicas.
+//!   queue on a fast wide replica can still be the cheapest seat.  Ties
+//!   (e.g. every wait still zero) fall back to the per-worker backlog, then
+//!   the raw depth, then the index.
+//! * [`BalancerKind::ResidencyAware`] — the memory-aware policy: prefers
+//!   replicas where the request's *model* is already warm in VRAM (affinity
+//!   routing), so a paging fleet stops thrashing tiles back and forth.
+//!   Replicas within 0.05 of the warmest count as equally warm, and the
+//!   shallowest queue among them wins.  When *no* replica is at least half
+//!   warm (the model's first touch, or a fleet thrashed by a load-blind
+//!   policy), depth tie-breaks would split the cold model and page it
+//!   everywhere, so affinity is seeded by `model % replicas` instead.  On a
+//!   fleet without memory management every probe reports `1.0` and the
+//!   policy degenerates to JSQ.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Warmth slack within which replicas count as equally warm
+/// ([`BalancerKind::ResidencyAware`]).
+const WARMTH_TOLERANCE: f64 = 0.05;
+/// Below this best-replica warmth the model counts as cold everywhere and
+/// [`BalancerKind::ResidencyAware`] seeds affinity by `model % replicas`
+/// instead of queue depth.
+const MIN_WARMTH: f64 = 0.5;
 
 /// One replica's routing snapshot, taken at submission time.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -46,209 +66,18 @@ pub struct ReplicaProbe {
     pub warm_fraction: f64,
 }
 
-/// A routing policy over live replicas.
-///
-/// `pick` receives one probe per live replica (at least one) and returns an
-/// index *into the probe slice*.  Balancers may keep state (round-robin
-/// cursors, RNGs) but must not assume a stable replica count: the
-/// autoscaler adds and drains replicas mid-run.
-pub trait LoadBalancer: Send {
-    /// Short policy name, carried into reports.
-    fn name(&self) -> &'static str;
-
-    /// Whether this policy reads [`ReplicaProbe::warm_fraction`].  Probing
-    /// warmth costs a tile-cache lock (contended by the replica's own
-    /// workers) plus a tile-list scan *per replica per submission*, so the
-    /// cluster only pays it for policies that return `true` — every other
-    /// probe carries `1.0`.  Default: `false`.
-    fn needs_warmth(&self) -> bool {
-        false
-    }
-
-    /// Chooses the replica for one submission.
-    ///
-    /// # Panics
-    /// Implementations may panic on an empty probe slice; the cluster never
-    /// passes one.
-    fn pick(&mut self, probes: &[ReplicaProbe]) -> usize;
-}
-
-/// Load-blind rotation through the replica list.
-#[derive(Debug, Default)]
-pub struct RoundRobin {
-    next: usize,
-}
-
-impl LoadBalancer for RoundRobin {
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-
-    fn pick(&mut self, probes: &[ReplicaProbe]) -> usize {
-        assert!(!probes.is_empty(), "cannot route without replicas");
-        let pick = self.next % probes.len();
-        self.next = self.next.wrapping_add(1);
-        pick
-    }
-}
-
-/// Routes to the replica with the fewest queued requests (ties: the smaller
-/// class-aware backlog, then the lower index — deterministic).
-#[derive(Debug, Default)]
-pub struct JoinShortestQueue;
-
-impl LoadBalancer for JoinShortestQueue {
-    fn name(&self) -> &'static str {
-        "jsq"
-    }
-
-    fn pick(&mut self, probes: &[ReplicaProbe]) -> usize {
-        assert!(!probes.is_empty(), "cannot route without replicas");
-        probes
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, p)| (p.queue_depth, p.depth_ahead, *i))
-            .map(|(i, _)| i)
-            .expect("non-empty probes")
-    }
-}
-
-/// Samples two distinct replicas uniformly and routes to the shallower
-/// queue (the classic O(1)-probe approximation of JSQ).  Seeded, so runs
-/// replay deterministically.
-#[derive(Debug)]
-pub struct PowerOfTwoChoices {
-    rng: StdRng,
-}
-
-impl PowerOfTwoChoices {
-    /// A seeded sampler; equal seeds replay equal routing decisions (given
-    /// equal probe sequences).
-    pub fn new(seed: u64) -> Self {
-        Self { rng: StdRng::seed_from_u64(seed) }
-    }
-}
-
-impl LoadBalancer for PowerOfTwoChoices {
-    fn name(&self) -> &'static str {
-        "p2c"
-    }
-
-    fn pick(&mut self, probes: &[ReplicaProbe]) -> usize {
-        assert!(!probes.is_empty(), "cannot route without replicas");
-        if probes.len() == 1 {
-            return 0;
-        }
-        let a = self.rng.gen_range(0..probes.len());
-        let mut b = self.rng.gen_range(0..probes.len() - 1);
-        if b >= a {
-            b += 1;
-        }
-        // Prefer the shallower queue; break ties toward the lower index so
-        // the decision is a pure function of (rng draw, probes).
-        let key = |i: usize| (probes[i].queue_depth, probes[i].depth_ahead, i);
-        if key(b) < key(a) {
-            b
-        } else {
-            a
-        }
-    }
-}
-
-/// Routes to the replica whose *priced* backlog is cheapest: each probe's
-/// predicted wait comes from that replica's own dwell model and worker
-/// count, so a fast, wide replica with a deeper queue can still win.  Ties
-/// (e.g. every wait still zero) fall back to the per-worker backlog, then
-/// the raw depth, then the index.
-#[derive(Debug, Default)]
-pub struct LeastPredictedWait;
-
-impl LoadBalancer for LeastPredictedWait {
-    fn name(&self) -> &'static str {
-        "least-wait"
-    }
-
-    fn pick(&mut self, probes: &[ReplicaProbe]) -> usize {
-        assert!(!probes.is_empty(), "cannot route without replicas");
-        let key = |p: &ReplicaProbe| {
-            debug_assert!(p.workers > 0, "replica without workers");
-            (p.predicted_wait_s, p.depth_ahead as f64 / p.workers as f64, p.queue_depth as f64)
-        };
-        probes
-            .iter()
-            .enumerate()
-            .min_by(|(i, a), (j, b)| {
-                key(a).partial_cmp(&key(b)).expect("finite probe keys").then(i.cmp(j))
-            })
-            .map(|(i, _)| i)
-            .expect("non-empty probes")
-    }
-}
-
-/// Routes to the replica where the request's model is warmest in VRAM —
-/// affinity routing for paging fleets.  Replicas within
-/// [`ResidencyAware::WARMTH_TOLERANCE`] of the warmest are considered
-/// equally warm, and the shallowest queue among them wins (so two replicas
-/// both holding the model still share load instead of one wedging).
-///
-/// When *no* replica is meaningfully warm (below
-/// [`ResidencyAware::MIN_WARMTH`], e.g. the model's first touch, or a
-/// fleet thrashed by an earlier load-blind policy), depth-based
-/// tie-breaking would split the cold model across replicas and page it
-/// everywhere — so instead the policy seeds affinity deterministically by
-/// hashing the model over the live fleet (`model % replicas`).  Each model
-/// thereafter finds its home replica warm and sticks to it.
-///
-/// On a fleet without memory management every probe reports `1.0` and the
-/// policy degenerates to JSQ.
-#[derive(Debug, Default)]
-pub struct ResidencyAware;
-
-impl ResidencyAware {
-    /// Warmth slack within which replicas count as equally warm.
-    pub const WARMTH_TOLERANCE: f64 = 0.05;
-    /// Below this best-replica warmth the model counts as cold everywhere
-    /// and affinity is seeded by `model % replicas` instead of queue depth.
-    pub const MIN_WARMTH: f64 = 0.5;
-}
-
-impl LoadBalancer for ResidencyAware {
-    fn name(&self) -> &'static str {
-        "residency"
-    }
-
-    fn needs_warmth(&self) -> bool {
-        true
-    }
-
-    fn pick(&mut self, probes: &[ReplicaProbe]) -> usize {
-        assert!(!probes.is_empty(), "cannot route without replicas");
-        let warmest = probes.iter().map(|p| p.warm_fraction).fold(f64::NEG_INFINITY, f64::max);
-        if warmest < Self::MIN_WARMTH {
-            return probes[0].model % probes.len();
-        }
-        probes
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.warm_fraction >= warmest - Self::WARMTH_TOLERANCE)
-            .min_by_key(|(i, p)| (p.queue_depth, p.depth_ahead, *i))
-            .map(|(i, _)| i)
-            .expect("the warmest probe always qualifies")
-    }
-}
-
 /// The built-in balancer vocabulary, parseable from CLI flags.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BalancerKind {
-    /// [`RoundRobin`].
+    /// Load-blind rotation through the replica list.
     RoundRobin,
-    /// [`JoinShortestQueue`].
+    /// The shallowest queue.
     JoinShortestQueue,
-    /// [`PowerOfTwoChoices`].
+    /// The shallower of two seeded samples.
     PowerOfTwoChoices,
-    /// [`LeastPredictedWait`].
+    /// The cheapest cost-model-priced backlog.
     LeastPredictedWait,
-    /// [`ResidencyAware`].
+    /// The warmest replica for the request's model, then the shallowest.
     ResidencyAware,
 }
 
@@ -270,18 +99,6 @@ impl BalancerKind {
             BalancerKind::PowerOfTwoChoices => "p2c",
             BalancerKind::LeastPredictedWait => "least-wait",
             BalancerKind::ResidencyAware => "residency",
-        }
-    }
-
-    /// Instantiates the policy (`seed` feeds the p2c sampler; the others
-    /// ignore it).
-    pub fn build(self, seed: u64) -> Box<dyn LoadBalancer> {
-        match self {
-            BalancerKind::RoundRobin => Box::new(RoundRobin::default()),
-            BalancerKind::JoinShortestQueue => Box::new(JoinShortestQueue),
-            BalancerKind::PowerOfTwoChoices => Box::new(PowerOfTwoChoices::new(seed)),
-            BalancerKind::LeastPredictedWait => Box::new(LeastPredictedWait),
-            BalancerKind::ResidencyAware => Box::new(ResidencyAware),
         }
     }
 }
@@ -319,6 +136,96 @@ impl std::str::FromStr for BalancerKind {
     }
 }
 
+/// The cluster's routing state: the policy plus the round-robin cursor
+/// and the seeded p2c sampler.  Probe slices may change length between
+/// picks — the autoscaler adds and drains replicas mid-run.
+pub(crate) struct Router {
+    kind: BalancerKind,
+    next: usize,
+    rng: StdRng,
+}
+
+impl Router {
+    /// A router for `kind`; `seed` feeds the p2c sampler, so equal seeds
+    /// replay equal decisions (given equal probe sequences).
+    pub(crate) fn new(kind: BalancerKind, seed: u64) -> Self {
+        Self { kind, next: 0, rng: StdRng::seed_from_u64(seed) }
+    }
+
+    /// The policy name carried into reports.
+    pub(crate) fn name(&self) -> &'static str {
+        match self.kind {
+            BalancerKind::RoundRobin => "round-robin",
+            kind => kind.as_str(),
+        }
+    }
+
+    /// Whether the policy reads [`ReplicaProbe::warm_fraction`].  Probing
+    /// warmth costs a tile-cache lock (contended by the replica's own
+    /// workers) plus a tile-list scan *per replica per submission*, so the
+    /// cluster pays it only for [`BalancerKind::ResidencyAware`]; every
+    /// other probe carries `1.0`.
+    pub(crate) fn needs_warmth(&self) -> bool {
+        self.kind == BalancerKind::ResidencyAware
+    }
+
+    /// Chooses the replica for one submission: an index into `probes`.
+    ///
+    /// # Panics
+    /// Panics on an empty probe slice; the cluster never passes one.
+    pub(crate) fn pick(&mut self, probes: &[ReplicaProbe]) -> usize {
+        assert!(!probes.is_empty(), "cannot route without replicas");
+        // Shallower queue first, then the smaller backlog, then the lower
+        // index, so every decision is deterministic.
+        let depth_key = |i: usize| (probes[i].queue_depth, probes[i].depth_ahead, i);
+        match self.kind {
+            BalancerKind::RoundRobin => {
+                let pick = self.next % probes.len();
+                self.next = self.next.wrapping_add(1);
+                pick
+            }
+            BalancerKind::JoinShortestQueue => {
+                (0..probes.len()).min_by_key(|&i| depth_key(i)).expect("non-empty probes")
+            }
+            BalancerKind::PowerOfTwoChoices => {
+                if probes.len() == 1 {
+                    return 0;
+                }
+                let a = self.rng.gen_range(0..probes.len());
+                let mut b = self.rng.gen_range(0..probes.len() - 1);
+                if b >= a {
+                    b += 1;
+                }
+                std::cmp::min_by_key(a, b, |&i| depth_key(i))
+            }
+            BalancerKind::LeastPredictedWait => {
+                let key = |i: usize| {
+                    let p = &probes[i];
+                    debug_assert!(p.workers > 0, "replica without workers");
+                    let per_worker = p.depth_ahead as f64 / p.workers as f64;
+                    (p.predicted_wait_s, per_worker, p.queue_depth as f64)
+                };
+                (0..probes.len())
+                    .min_by(|&i, &j| {
+                        key(i).partial_cmp(&key(j)).expect("finite probe keys").then(i.cmp(&j))
+                    })
+                    .expect("non-empty probes")
+            }
+            BalancerKind::ResidencyAware => {
+                let warmest =
+                    probes.iter().map(|p| p.warm_fraction).fold(f64::NEG_INFINITY, f64::max);
+                if warmest < MIN_WARMTH {
+                    return probes[0].model % probes.len();
+                }
+                (0..probes.len())
+                    .filter(|&i| probes[i].warm_fraction >= warmest - WARMTH_TOLERANCE)
+                    .min_by_key(|&i| depth_key(i))
+                    .expect("the warmest probe always qualifies")
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,7 +243,7 @@ mod tests {
 
     #[test]
     fn round_robin_cycles_and_adapts_to_resizes() {
-        let mut rr = RoundRobin::default();
+        let mut rr = Router::new(BalancerKind::RoundRobin, 0);
         let three: Vec<ReplicaProbe> = (0..3).map(|_| probe(0, 0, 0.0, 1)).collect();
         let picks: Vec<usize> = (0..6).map(|_| rr.pick(&three)).collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
@@ -349,7 +256,7 @@ mod tests {
 
     #[test]
     fn jsq_takes_the_shallowest_queue_deterministically() {
-        let mut jsq = JoinShortestQueue;
+        let mut jsq = Router::new(BalancerKind::JoinShortestQueue, 0);
         let probes = vec![probe(9, 9, 0.0, 1), probe(2, 1, 0.0, 1), probe(2, 2, 0.0, 1)];
         // Depth tie between 1 and 2 is broken by the smaller backlog.
         assert_eq!(jsq.pick(&probes), 1);
@@ -360,7 +267,7 @@ mod tests {
         let probes: Vec<ReplicaProbe> =
             (0..8).map(|i| probe(if i == 3 { 0 } else { 50 }, 0, 0.0, 1)).collect();
         let picks = |seed: u64| -> Vec<usize> {
-            let mut p2c = PowerOfTwoChoices::new(seed);
+            let mut p2c = Router::new(BalancerKind::PowerOfTwoChoices, seed);
             (0..64).map(|_| p2c.pick(&probes)).collect()
         };
         assert_eq!(picks(7), picks(7), "equal seeds replay equal decisions");
@@ -369,7 +276,7 @@ mod tests {
         let hits = picks(7).iter().filter(|&&p| p == 3).count();
         assert!(hits > 8, "p2c picked the empty replica only {hits}/64 times");
         // Both sampled indices stay in range on a two-replica fleet.
-        let mut p2c = PowerOfTwoChoices::new(1);
+        let mut p2c = Router::new(BalancerKind::PowerOfTwoChoices, 1);
         let two: Vec<ReplicaProbe> = (0..2).map(|_| probe(0, 0, 0.0, 1)).collect();
         for _ in 0..32 {
             assert!(p2c.pick(&two) < 2);
@@ -382,11 +289,16 @@ mod tests {
         // Replica 0: shallow queue but slow (high predicted wait).
         // Replica 1: deeper queue on fast wide hardware (low wait).
         let probes = vec![probe(3, 3, 0.9, 1), probe(8, 8, 0.1, 4)];
-        assert_eq!(JoinShortestQueue.pick(&probes), 0, "jsq only sees depth");
-        assert_eq!(LeastPredictedWait.pick(&probes), 1, "least-wait prices the backlog");
+        assert_eq!(
+            Router::new(BalancerKind::JoinShortestQueue, 0).pick(&probes),
+            0,
+            "jsq only sees depth"
+        );
+        let mut least_wait = Router::new(BalancerKind::LeastPredictedWait, 0);
+        assert_eq!(least_wait.pick(&probes), 1, "least-wait prices the backlog");
         // With every wait zero (no dwell) it falls back to per-worker load.
         let cold = vec![probe(6, 6, 0.0, 1), probe(8, 8, 0.0, 4)];
-        assert_eq!(LeastPredictedWait.pick(&cold), 1);
+        assert_eq!(least_wait.pick(&cold), 1);
     }
 
     #[test]
@@ -399,7 +311,7 @@ mod tests {
             model: 0,
             warm_fraction: fraction,
         };
-        let mut residency = ResidencyAware;
+        let mut residency = Router::new(BalancerKind::ResidencyAware, 0);
         // The warm replica wins even with a deeper queue — paging costs
         // more than queueing here.
         let probes = vec![warm(1, 0.0), warm(6, 1.0)];
@@ -422,7 +334,7 @@ mod tests {
             model,
             warm_fraction: 0.0,
         };
-        let mut residency = ResidencyAware;
+        let mut residency = Router::new(BalancerKind::ResidencyAware, 0);
         // A cold model ignores queue depth and lands on its home replica
         // (model % fleet) — splitting it by depth would page it everywhere.
         let probes = |model| vec![cold(9, model), cold(0, model), cold(3, model)];
@@ -440,7 +352,7 @@ mod tests {
         for kind in BalancerKind::ALL {
             let parsed: BalancerKind = kind.as_str().parse().expect("canonical spelling parses");
             assert_eq!(parsed, kind);
-            let policy = kind.build(3);
+            let policy = Router::new(kind, 3);
             // Each kind builds the policy its name advertises.
             match kind {
                 BalancerKind::RoundRobin => assert_eq!(policy.name(), "round-robin"),
@@ -452,5 +364,64 @@ mod tests {
         }
         assert_eq!("affinity".parse::<BalancerKind>().unwrap(), BalancerKind::ResidencyAware);
         assert!("waterfall".parse::<BalancerKind>().is_err());
+    }
+
+    #[test]
+    fn routing_decisions_are_pinned() {
+        // A seeded stream of probe vectors over every axis a policy reads:
+        // 1-6 replicas, mixed depths, waits and widths, several models, and
+        // warmth on both sides of the 0.5 cold floor and the 0.05 tolerance.
+        const WARMTH: [f64; 9] = [0.0, 0.04, 0.3, 0.46, 0.5, 0.52, 0.94, 0.96, 1.0];
+        let mut rng = StdRng::seed_from_u64(21);
+        let stream: Vec<Vec<ReplicaProbe>> = (0..40)
+            .map(|_| {
+                let replicas = rng.gen_range(1..7usize);
+                let model = rng.gen_range(0..5usize);
+                (0..replicas)
+                    .map(|_| {
+                        let depth = rng.gen_range(0..5usize);
+                        ReplicaProbe {
+                            queue_depth: depth,
+                            depth_ahead: rng.gen_range(0..=depth),
+                            predicted_wait_s: rng.gen_range(0..3usize) as f64 * 0.001,
+                            workers: rng.gen_range(1..4usize),
+                            model,
+                            warm_fraction: WARMTH[rng.gen_range(0..WARMTH.len())],
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let expected = |kind| -> [usize; 40] {
+            match kind {
+                BalancerKind::RoundRobin => [
+                    0, 1, 2, 3, 4, 1, 0, 0, 0, 4, 2, 5, 0, 1, 0, 0, 1, 1, 0, 4, //
+                    2, 1, 2, 1, 0, 1, 0, 0, 4, 2, 2, 0, 0, 1, 0, 0, 1, 1, 2, 0,
+                ],
+                BalancerKind::JoinShortestQueue => [
+                    1, 0, 2, 3, 1, 1, 1, 0, 0, 0, 2, 0, 0, 1, 0, 1, 0, 0, 0, 2, //
+                    2, 1, 1, 1, 0, 2, 0, 0, 1, 1, 1, 0, 1, 1, 0, 0, 2, 1, 0, 1,
+                ],
+                BalancerKind::PowerOfTwoChoices => [
+                    1, 0, 2, 3, 5, 0, 1, 0, 0, 1, 2, 0, 0, 2, 0, 0, 0, 0, 0, 2, //
+                    2, 2, 2, 1, 5, 1, 0, 0, 5, 1, 1, 0, 3, 1, 0, 0, 0, 2, 5, 0,
+                ],
+                BalancerKind::LeastPredictedWait => [
+                    0, 3, 2, 0, 1, 1, 0, 0, 0, 4, 3, 0, 5, 2, 0, 0, 3, 0, 1, 2, //
+                    2, 1, 3, 1, 3, 2, 0, 0, 5, 0, 1, 0, 1, 0, 0, 0, 2, 2, 5, 0,
+                ],
+                BalancerKind::ResidencyAware => [
+                    1, 0, 0, 2, 2, 1, 1, 0, 0, 1, 2, 0, 4, 2, 0, 1, 3, 0, 0, 2, //
+                    0, 1, 1, 0, 0, 2, 0, 0, 5, 0, 3, 0, 0, 0, 0, 0, 4, 1, 0, 0,
+                ],
+            }
+        };
+        for kind in BalancerKind::ALL {
+            // One policy per kind over the whole stream: round-robin keeps
+            // its cursor and p2c its RNG across fleet sizes.
+            let mut policy = Router::new(kind, 7);
+            let picks: Vec<usize> = stream.iter().map(|probes| policy.pick(probes)).collect();
+            assert_eq!(picks, expected(kind), "{kind} decisions moved");
+        }
     }
 }

@@ -1,5 +1,5 @@
 //! `tw-cluster` — multi-replica serving over `tw-serve`: a router with
-//! pluggable load balancing and a reactive autoscaler.
+//! five load-balancing policies and a reactive autoscaler.
 //!
 //! One [`tw_serve::Server`] is a single node.  Production scale means N
 //! replicas behind a router, each with its own queue, batcher, worker pool
@@ -9,16 +9,17 @@
 //! ```text
 //!                       +-- Replica r0 (a100, 4 workers) -- queue → batcher → pool
 //! submissions → router -+-- Replica r1 (v100, 2 workers) -- queue → batcher → pool
-//!  (LoadBalancer)       +-- Replica r2 (v100, 1 worker)  -- queue → batcher → pool
+//!  (BalancerKind)       +-- Replica r2 (v100, 1 worker)  -- queue → batcher → pool
 //!                            ↑ add / drain (Autoscaler)        → ClusterReport
 //! ```
 //!
 //! * [`Replica`] — one server plus its [`ReplicaSpec`] (backend plan,
 //!   workers, [`tw_gpu_sim::GpuDevice`] profile, dwell scale).
-//! * [`LoadBalancer`] — the routing policy trait; built-ins are
-//!   [`RoundRobin`], [`JoinShortestQueue`], [`PowerOfTwoChoices`] and the
-//!   cost-model-aware [`LeastPredictedWait`], which prices each replica's
-//!   backlog with that replica's own `InferenceSession::dwell_model`.
+//! * [`BalancerKind`] — the routing policy: round-robin, join-shortest-
+//!   queue, power-of-two-choices, the cost-model-aware least-predicted-wait
+//!   (which prices each replica's backlog with that replica's own
+//!   `InferenceSession::dwell_model`) and residency-aware, which routes a
+//!   model to the replicas holding it warm in VRAM.
 //! * [`Autoscaler`] — threshold + hysteresis scaling on sustained
 //!   queue-depth or shed pressure; the cluster applies its decisions.
 //! * [`Cluster`] — routes classed submissions, replays
@@ -58,10 +59,8 @@ pub mod replica;
 pub mod report;
 
 pub use autoscaler::{Autoscaler, AutoscalerConfig, ScaleAction};
-pub use balancer::{
-    BalancerKind, BalancerParseError, JoinShortestQueue, LeastPredictedWait, LoadBalancer,
-    PowerOfTwoChoices, ReplicaProbe, ResidencyAware, RoundRobin,
-};
+use balancer::Router;
+pub use balancer::{BalancerKind, BalancerParseError, ReplicaProbe};
 pub use replica::{Replica, ReplicaSpec, RetiredReplica};
 pub use report::{ClusterReport, ReplicaReport};
 
@@ -153,7 +152,7 @@ pub struct Cluster {
     config: ClusterConfig,
     live: Vec<Replica>,
     draining: Vec<JoinHandle<RetiredReplica>>,
-    balancer: Box<dyn LoadBalancer>,
+    router: Router,
     autoscaler: Option<Autoscaler>,
     issued: usize,
     since_poll: usize,
@@ -198,14 +197,14 @@ impl Cluster {
         assert!(!specs.is_empty(), "a cluster needs at least one replica");
         let live: Vec<Replica> =
             specs.into_iter().map(|spec| Replica::start(&models, spec, &config)).collect();
-        let balancer = config.balancer.build(config.balancer_seed);
+        let router = Router::new(config.balancer, config.balancer_seed);
         let autoscaler = config.autoscaler.clone().map(Autoscaler::new);
         Self {
             models,
             config,
             live,
             draining: Vec::new(),
-            balancer,
+            router,
             autoscaler,
             issued: 0,
             since_poll: 0,
@@ -262,14 +261,14 @@ impl Cluster {
         payload: Vec<f32>,
     ) -> Result<(usize, Admission), ServerClosed> {
         assert!(model < self.models.len(), "model {model} out of range");
-        let with_warmth = self.balancer.needs_warmth();
+        let with_warmth = self.router.needs_warmth();
         let probes: Vec<ReplicaProbe> =
             self.live.iter().map(|r| r.probe(class, model, with_warmth)).collect();
-        let pick = self.balancer.pick(&probes);
+        let pick = self.router.pick(&probes);
         assert!(
             pick < self.live.len(),
             "balancer {} picked replica {pick} of {}",
-            self.balancer.name(),
+            self.router.name(),
             self.live.len()
         );
         let admission = self.live[pick].submit_model(model, class, payload)?;
@@ -370,7 +369,7 @@ impl Cluster {
             self.draining.drain(..).map(|h| h.join().expect("drain thread panicked")).collect();
         retired.extend(self.live.drain(..).map(Replica::shutdown));
         let report = ClusterReport::aggregate(
-            self.balancer.name().to_string(),
+            self.router.name().to_string(),
             &self.config.classes,
             retired,
             self.scale_events,

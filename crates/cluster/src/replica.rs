@@ -128,9 +128,8 @@ impl Replica {
     /// runs for every live replica on every submission, contending with the
     /// replica's own workers.  `with_warmth` additionally looks up the
     /// model's VRAM residency (a tile-cache lock + tile scan); the cluster
-    /// passes `true` only when the balancer actually reads warmth
-    /// ([`crate::LoadBalancer::needs_warmth`]), and every other probe
-    /// carries `1.0`.
+    /// passes `true` only for [`crate::BalancerKind::ResidencyAware`], the
+    /// one policy that reads warmth, and every other probe carries `1.0`.
     pub fn probe(&self, class: ClassId, model: ModelId, with_warmth: bool) -> ReplicaProbe {
         let (queue_depth, depth_ahead, predicted_wait) = self.server.routing_probe(class);
         ReplicaProbe {

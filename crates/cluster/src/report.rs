@@ -17,13 +17,10 @@ pub struct ReplicaReport {
     pub name: String,
     /// Device slug the replica priced batches on (`v100`, `a100`, ...).
     pub device: String,
-    /// Worker threads the replica ran.
-    pub workers: usize,
-    /// Resolved per-layer kernel plan.
-    pub plan: Vec<String>,
     /// Submissions the balancer routed here (admitted + shed).
     pub routed: usize,
-    /// The replica's own serving report.
+    /// The replica's own serving report (one `workers` row per worker
+    /// thread, and the resolved `backend_plan`).
     pub report: ServeReport,
 }
 
@@ -95,8 +92,6 @@ impl ClusterReport {
             .map(|r| ReplicaReport {
                 name: r.spec.name,
                 device: r.spec.device.to_string(),
-                workers: r.spec.workers,
-                plan: r.report.backend_plan.clone(),
                 routed: r.routed,
                 report: r.report,
             })
@@ -207,8 +202,8 @@ impl ClusterReport {
                     "replica {} ({}, {} worker(s), plan [{}]): routed {}, completed {}, shed {}, p99 {:.2}ms",
                     r.name,
                     r.device,
-                    r.workers,
-                    r.plan.join(","),
+                    r.report.workers.len(),
+                    r.report.backend_plan.join(","),
                     r.routed,
                     r.report.completed,
                     r.report.shed,

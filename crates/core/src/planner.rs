@@ -7,84 +7,10 @@
 //! latency figures of the paper (Figs. 3, 9b, 10b, 11, 14, 15) are produced
 //! through this planner.
 
-use tw_gpu_sim::{
-    CoreKind, CostModel, KernelProfile, Precision, RunCounters, TwExecOptions, TwTileShape,
-};
+use tw_gpu_sim::{CostModel, KernelProfile, RunCounters, TwTileShape};
+pub use tw_gpu_sim::{ExecutionConfig, TransposeStrategy};
 use tw_models::Workload;
 use tw_tensor::GemmShape;
-
-/// Where transpose kernels are inserted to keep the TW kernel's accesses
-/// coalesced (Fig. 7 ② and the Fig. 15 ablation).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TransposeStrategy {
-    /// No layout change: the TW kernel pays the uncoalesced-access penalty.
-    None,
-    /// Transpose activations around every pruned GEMM (the unoptimised
-    /// "Transpose Only" configuration).
-    PerGemm,
-    /// Transpose only at the model boundary; intermediate non-GEMM kernels
-    /// are rewritten to consume the transposed layout (the paper's final
-    /// configuration: "we only need to transpose matrix A in the first layer
-    /// and transpose matrix C after the last layer").
-    Boundary,
-}
-
-/// How one forward pass is executed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ExecutionConfig {
-    /// Execution unit for the GEMMs.
-    pub core: CoreKind,
-    /// Fuse consecutive non-GEMM kernels (Sec. VI "Kernel Fusion").
-    pub fuse_non_gemm: bool,
-    /// Transpose placement for the TW layout optimisation.
-    pub transpose: TransposeStrategy,
-    /// Batch tile GEMMs into one kernel.
-    pub tw_batching: bool,
-    /// Overlap tiles/batches with stream concurrency.
-    pub tw_streams: bool,
-}
-
-impl ExecutionConfig {
-    /// The fully optimised configuration on the chosen unit (what the
-    /// headline numbers use).
-    pub fn optimized(core: CoreKind) -> Self {
-        Self {
-            core,
-            fuse_non_gemm: true,
-            transpose: TransposeStrategy::Boundary,
-            tw_batching: true,
-            tw_streams: true,
-        }
-    }
-
-    /// The naive configuration: no transpose, no fusion, no batching, no
-    /// streams.
-    pub fn naive(core: CoreKind) -> Self {
-        Self {
-            core,
-            fuse_non_gemm: false,
-            transpose: TransposeStrategy::None,
-            tw_batching: false,
-            tw_streams: false,
-        }
-    }
-
-    fn tw_opts(&self) -> TwExecOptions {
-        TwExecOptions {
-            core: self.core,
-            transpose_layout: self.transpose != TransposeStrategy::None,
-            batching: self.tw_batching,
-            streams: self.tw_streams,
-        }
-    }
-
-    fn precision(&self) -> Precision {
-        match self.core {
-            CoreKind::TensorCore => Precision::Fp16,
-            CoreKind::CudaCore => Precision::Fp32,
-        }
-    }
-}
 
 /// How one prunable weight GEMM is executed.
 #[derive(Clone, Debug, PartialEq)]
@@ -197,10 +123,10 @@ impl ExecutionPlanner {
                     run.push(self.cost.bsr_gemm(shape, *block_size, *block_sparsity));
                 }
                 WeightExecution::TileWise { tiles } => {
-                    run.push(self.cost.tw_gemm(gemm.m, gemm.k, gemm.n, tiles, cfg.tw_opts()));
+                    run.push(self.cost.tw_gemm(gemm.m, gemm.k, gemm.n, tiles, cfg));
                 }
                 WeightExecution::Tew { tiles, overlay_nnz } => {
-                    run.push(self.cost.tw_gemm(gemm.m, gemm.k, gemm.n, tiles, cfg.tw_opts()));
+                    run.push(self.cost.tw_gemm(gemm.m, gemm.k, gemm.n, tiles, cfg));
                     run.push(self.cost.csc_overlay_spmm(gemm.m, *overlay_nnz));
                 }
             }
@@ -277,6 +203,7 @@ fn is_gemm_kernel(k: &KernelProfile) -> bool {
 mod tests {
     use super::*;
     use tw_gpu_sim::cost::uniform_tiles;
+    use tw_gpu_sim::CoreKind;
     use tw_models::Workload;
 
     fn bert() -> Workload {

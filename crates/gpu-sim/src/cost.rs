@@ -28,41 +28,70 @@ pub struct TwTileShape {
     pub kept_cols: usize,
 }
 
-/// Execution options of the TW kernel — the optimisations of Sec. VI.
+/// Where transpose kernels are inserted to keep the TW kernel's accesses
+/// coalesced (Fig. 7 ② and the Fig. 15 ablation).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TwExecOptions {
-    /// Execution unit.
+pub enum TransposeStrategy {
+    /// No layout change: the TW kernel pays the uncoalesced-access penalty.
+    None,
+    /// Transpose activations around every pruned GEMM (the unoptimised
+    /// "Transpose Only" configuration).
+    PerGemm,
+    /// Transpose only at the model boundary; intermediate non-GEMM kernels
+    /// are rewritten to consume the transposed layout (the paper's final
+    /// configuration: "we only need to transpose matrix A in the first layer
+    /// and transpose matrix C after the last layer").
+    Boundary,
+}
+
+/// How one forward pass is executed — the optimisations of Sec. VI.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ExecutionConfig {
+    /// Execution unit for the GEMMs.
     pub core: CoreKind,
-    /// Store operands transposed so pruned-row skipping stays coalesced
-    /// (Fig. 7 ②).  When false the uncoalesced-access penalty applies.
-    pub transpose_layout: bool,
+    /// Fuse consecutive non-GEMM kernels (Sec. VI "Kernel Fusion").
+    pub fuse_non_gemm: bool,
+    /// Transpose placement for the TW layout optimisation; any placement
+    /// but [`TransposeStrategy::None`] keeps pruned-row skipping coalesced.
+    pub transpose: TransposeStrategy,
     /// Batch all tile GEMMs into one kernel (Fig. 7 ③).
-    pub batching: bool,
+    pub tw_batching: bool,
     /// Spread residual work across concurrent streams (Fig. 7 ④).
-    pub streams: bool,
+    pub tw_streams: bool,
 }
 
-impl TwExecOptions {
-    /// The fully optimised tensor-core configuration used for the headline
-    /// results.
-    pub fn optimized_tensor() -> Self {
-        Self { core: CoreKind::TensorCore, transpose_layout: true, batching: true, streams: true }
+impl ExecutionConfig {
+    /// The fully optimised configuration on the chosen unit (what the
+    /// headline numbers use).
+    pub fn optimized(core: CoreKind) -> Self {
+        Self {
+            core,
+            fuse_non_gemm: true,
+            transpose: TransposeStrategy::Boundary,
+            tw_batching: true,
+            tw_streams: true,
+        }
     }
 
-    /// The fully optimised CUDA-core configuration.
-    pub fn optimized_cuda() -> Self {
-        Self { core: CoreKind::CudaCore, transpose_layout: true, batching: true, streams: true }
-    }
-
-    /// The naive configuration (no transpose, no batching, no streams).
+    /// The naive configuration: no transpose, no fusion, no batching, no
+    /// streams.
     pub fn naive(core: CoreKind) -> Self {
-        Self { core, transpose_layout: false, batching: false, streams: false }
+        Self {
+            core,
+            fuse_non_gemm: false,
+            transpose: TransposeStrategy::None,
+            tw_batching: false,
+            tw_streams: false,
+        }
     }
-}
 
-impl Default for TwExecOptions {
-    fn default() -> Self {
-        Self::optimized_tensor()
+    /// The operand precision of the chosen unit (FP16 on tensor cores,
+    /// FP32 on CUDA cores).
+    pub fn precision(&self) -> Precision {
+        match self.core {
+            CoreKind::TensorCore => Precision::Fp16,
+            CoreKind::CudaCore => Precision::Fp32,
+        }
     }
 }
 
@@ -221,21 +250,18 @@ impl CostModel {
     /// * `m` — rows of the activation matrix `A`.
     /// * `k`, `n` — the *original* weight dimensions (before pruning).
     /// * `tiles` — surviving shape of every weight tile.
-    /// * `opts` — which of the Sec. VI optimisations are enabled.
+    /// * `cfg` — which of the Sec. VI optimisations are enabled.
     pub fn tw_gemm(
         &self,
         m: usize,
         k: usize,
         n: usize,
         tiles: &[TwTileShape],
-        opts: TwExecOptions,
+        cfg: &ExecutionConfig,
     ) -> KernelProfile {
-        let core = opts.core;
-        let prec = match core {
-            CoreKind::TensorCore => Precision::Fp16,
-            CoreKind::CudaCore => Precision::Fp32,
-        };
-        let esize = prec.bytes() as u64;
+        let core = cfg.core;
+        let coalesced = cfg.transpose != TransposeStrategy::None;
+        let esize = cfg.precision().bytes() as u64;
         let (tile_m, tile_n_max) = self.gemm_tile_dims(core);
 
         let flops: u64 = tiles.iter().map(|t| 2 * (m * t.kept_rows * t.kept_cols) as u64).sum();
@@ -255,7 +281,7 @@ impl CostModel {
         let c_bytes = (m * total_kept_cols) as u64 * esize;
         let mask_bytes = tiles.len() as u64 * 4 * (k + n.div_ceil(num_tiles)) as u64;
 
-        let layout_factor = if opts.transpose_layout { 1.0 } else { self.cal.uncoalesced_factor };
+        let layout_factor = if coalesced { 1.0 } else { self.cal.uncoalesced_factor };
         let load_bytes = a_bytes + b_bytes + mask_bytes;
         let store_bytes = c_bytes;
         let load_transactions = (self.device.coalesced_transactions(load_bytes) as f64
@@ -271,7 +297,7 @@ impl CostModel {
         // Compute time.  Uncoalesced accesses also stall the math pipelines,
         // not just the memory system, so the layout penalty derates compute
         // efficiency as well.
-        let layout_compute_derate = if opts.transpose_layout { 1.0 } else { 0.5 };
+        let layout_compute_derate = if coalesced { 1.0 } else { 0.5 };
         let base_eff = self.dense_efficiency(core)
             * self.cal.masked_gemm_efficiency_ratio
             * layout_compute_derate;
@@ -288,7 +314,7 @@ impl CostModel {
             m.div_ceil(tile_m) * t.kept_cols.max(1).div_ceil(tile_n_for(t.kept_cols))
         };
 
-        let (compute, launch) = if opts.batching {
+        let (compute, launch) = if cfg.tw_batching {
             // One batched kernel over all tiles: thread blocks from every
             // tile fill the SMs together; imbalance between tiles inflates
             // the time because the batch finishes with its largest tile.
@@ -303,7 +329,7 @@ impl CostModel {
                 crate::occupancy::wave_quantization_efficiency(total_blocks, self.device.num_sms);
             let eff = (base_eff * (tile_quant * wave).max(0.05)).max(1e-3);
             let imbalance = imbalance_ratio(&work_per_tile);
-            let strength = if opts.streams {
+            let strength = if cfg.tw_streams {
                 self.cal.imbalance_penalty_with_streams
             } else {
                 self.cal.imbalance_penalty_strength
@@ -333,14 +359,14 @@ impl CostModel {
                         + self.device.kernel_launch_overhead
                 })
                 .collect();
-            let streams = if opts.streams { self.device.max_concurrent_streams } else { 1 };
+            let streams = if cfg.tw_streams { self.device.max_concurrent_streams } else { 1 };
             let makespan = StreamSim::new(streams).schedule(&per_tile_times).makespan();
             (makespan, 0.0)
         };
 
         let time = compute.max(memory) + launch;
         KernelProfile {
-            name: if opts.batching {
+            name: if cfg.tw_batching {
                 "tw_batched_gemm".to_string()
             } else {
                 "tw_tile_gemm".to_string()
@@ -477,6 +503,10 @@ mod tests {
         GemmShape::new(1024, 768, 768)
     }
 
+    fn tensor() -> ExecutionConfig {
+        ExecutionConfig::optimized(CoreKind::TensorCore)
+    }
+
     #[test]
     fn tensor_core_dense_is_much_faster_than_cuda_core() {
         let model = CostModel::v100();
@@ -559,7 +589,7 @@ mod tests {
         let shape = bert_gemm();
         let dense = model.dense_gemm(shape, CoreKind::TensorCore, Precision::Fp16).time_s;
         let tiles = uniform_tiles(768, 768, 128, 0.0);
-        let tw = model.tw_gemm(1024, 768, 768, &tiles, TwExecOptions::optimized_tensor()).time_s;
+        let tw = model.tw_gemm(1024, 768, 768, &tiles, &tensor()).time_s;
         let overhead = tw / dense - 1.0;
         assert!(
             (0.2..=0.5).contains(&overhead),
@@ -577,7 +607,7 @@ mod tests {
         let dense = model.dense_gemm(shape, CoreKind::TensorCore, Precision::Fp16).time_s;
         let at = |s: f64| {
             let tiles = uniform_tiles(768, 768, 128, s);
-            model.tw_gemm(1024, 768, 768, &tiles, TwExecOptions::optimized_tensor()).time_s
+            model.tw_gemm(1024, 768, 768, &tiles, &tensor()).time_s
         };
         assert!(at(0.25) > dense, "25% sparsity should still be slower than dense");
         assert!(at(0.55) < dense, "55% sparsity should be faster than dense");
@@ -590,7 +620,7 @@ mod tests {
         let shape = bert_gemm();
         let dense = model.dense_gemm(shape, CoreKind::TensorCore, Precision::Fp16).time_s;
         let tiles = uniform_tiles(768, 768, 128, 0.75);
-        let tw = model.tw_gemm(1024, 768, 768, &tiles, TwExecOptions::optimized_tensor()).time_s;
+        let tw = model.tw_gemm(1024, 768, 768, &tiles, &tensor()).time_s;
         let speedup = dense / tw;
         assert!(
             (1.7..=3.0).contains(&speedup),
@@ -605,7 +635,7 @@ mod tests {
         let shape = bert_gemm();
         let dense = model.dense_gemm(shape, CoreKind::TensorCore, Precision::Fp16).time_s;
         let tiles = uniform_tiles(768, 768, 128, 0.99);
-        let tw = model.tw_gemm(1024, 768, 768, &tiles, TwExecOptions::optimized_tensor()).time_s;
+        let tw = model.tw_gemm(1024, 768, 768, &tiles, &tensor()).time_s;
         let speedup = dense / tw;
         assert!(speedup > 6.0, "speedup at 99% should be large, got {speedup:.2}x");
     }
@@ -616,14 +646,14 @@ mod tests {
         // the GEMM computation cannot benefit from the high sparsity."
         let model = CostModel::v100();
         let tiles = uniform_tiles(768, 768, 128, 0.75);
-        let with = model.tw_gemm(1024, 768, 768, &tiles, TwExecOptions::optimized_tensor()).time_s;
+        let with = model.tw_gemm(1024, 768, 768, &tiles, &tensor()).time_s;
         let without = model
             .tw_gemm(
                 1024,
                 768,
                 768,
                 &tiles,
-                TwExecOptions { transpose_layout: false, ..TwExecOptions::optimized_tensor() },
+                &ExecutionConfig { transpose: TransposeStrategy::None, ..tensor() },
             )
             .time_s;
         assert!(without > with * 1.5, "uncoalesced accesses should hurt: {without} vs {with}");
@@ -633,10 +663,9 @@ mod tests {
     fn batching_and_streams_beat_naive_execution() {
         let model = CostModel::v100();
         let tiles = uniform_tiles(768, 768, 128, 0.75);
-        let optimized =
-            model.tw_gemm(1024, 768, 768, &tiles, TwExecOptions::optimized_tensor()).time_s;
+        let optimized = model.tw_gemm(1024, 768, 768, &tiles, &tensor()).time_s;
         let naive = model
-            .tw_gemm(1024, 768, 768, &tiles, TwExecOptions::naive(CoreKind::TensorCore))
+            .tw_gemm(1024, 768, 768, &tiles, &ExecutionConfig::naive(CoreKind::TensorCore))
             .time_s;
         let streams_only = model
             .tw_gemm(
@@ -644,11 +673,7 @@ mod tests {
                 768,
                 768,
                 &tiles,
-                TwExecOptions {
-                    batching: false,
-                    streams: true,
-                    ..TwExecOptions::optimized_tensor()
-                },
+                &ExecutionConfig { tw_batching: false, tw_streams: true, ..tensor() },
             )
             .time_s;
         let serial_tiles = model
@@ -657,11 +682,7 @@ mod tests {
                 768,
                 768,
                 &tiles,
-                TwExecOptions {
-                    batching: false,
-                    streams: false,
-                    ..TwExecOptions::optimized_tensor()
-                },
+                &ExecutionConfig { tw_batching: false, tw_streams: false, ..tensor() },
             )
             .time_s;
         assert!(naive > optimized, "naive {naive} should be slower than optimized {optimized}");
@@ -680,7 +701,7 @@ mod tests {
         let shape = bert_gemm();
         let dense = model.dense_gemm(shape, CoreKind::TensorCore, Precision::Fp16);
         let tiles = uniform_tiles(768, 768, 128, 0.0);
-        let tw = model.tw_gemm(1024, 768, 768, &tiles, TwExecOptions::optimized_tensor());
+        let tw = model.tw_gemm(1024, 768, 768, &tiles, &tensor());
         let ratio = tw.counters.load_transactions as f64 / dense.counters.load_transactions as f64;
         assert!((1.8..=2.4).contains(&ratio), "load transaction ratio {ratio}");
     }
@@ -712,11 +733,10 @@ mod tests {
         imbalanced[0].kept_rows = 768;
         imbalanced[1].kept_rows = 96;
         imbalanced[2].kept_rows = 96;
-        let opts_nostream = TwExecOptions { streams: false, ..TwExecOptions::optimized_tensor() };
-        let t_bal = model.tw_gemm(1024, 768, 768, &balanced, opts_nostream).time_s;
-        let t_imb = model.tw_gemm(1024, 768, 768, &imbalanced, opts_nostream).time_s;
-        let t_imb_streams =
-            model.tw_gemm(1024, 768, 768, &imbalanced, TwExecOptions::optimized_tensor()).time_s;
+        let no_streams = ExecutionConfig { tw_streams: false, ..tensor() };
+        let t_bal = model.tw_gemm(1024, 768, 768, &balanced, &no_streams).time_s;
+        let t_imb = model.tw_gemm(1024, 768, 768, &imbalanced, &no_streams).time_s;
+        let t_imb_streams = model.tw_gemm(1024, 768, 768, &imbalanced, &tensor()).time_s;
         assert!(t_imb > t_bal, "imbalance should cost time");
         assert!(t_imb_streams < t_imb, "streams should recover some imbalance loss");
     }
@@ -760,7 +780,9 @@ mod tests {
         let shape = bert_gemm();
         let dense = model.dense_gemm(shape, CoreKind::CudaCore, Precision::Fp32).time_s;
         let tiles = uniform_tiles(768, 768, 128, 0.75);
-        let tw = model.tw_gemm(1024, 768, 768, &tiles, TwExecOptions::optimized_cuda()).time_s;
+        let tw = model
+            .tw_gemm(1024, 768, 768, &tiles, &ExecutionConfig::optimized(CoreKind::CudaCore))
+            .time_s;
         let speedup = dense / tw;
         assert!(speedup > 1.8, "CUDA-core TW speedup {speedup:.2}x");
     }

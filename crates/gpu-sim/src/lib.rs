@@ -29,7 +29,7 @@ pub mod stream;
 pub mod transfer;
 
 pub use calibration::Calibration;
-pub use cost::{CostModel, TwExecOptions, TwTileShape};
+pub use cost::{CostModel, ExecutionConfig, TransposeStrategy, TwTileShape};
 pub use counters::{KernelCounters, KernelProfile, RunCounters};
 pub use device::{CoreKind, DeviceParseError, GpuDevice, Precision};
 pub use occupancy::{tile_quantization_efficiency, wave_quantization_efficiency};

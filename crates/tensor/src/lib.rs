@@ -22,7 +22,7 @@ pub mod gemm;
 pub mod im2col;
 pub mod matrix;
 
-pub use batch::{stack_payloads, stack_rows, unstack_rows};
+pub use batch::{stack_payloads, stack_rows};
 pub use gemm::{gemm, gemm_strided, GemmShape, Strided};
 pub use im2col::{im2col, ConvShape};
 pub use matrix::Matrix;

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example gpu_cost_explorer`
 
-use tile_wise_repro::gpu_sim::{cost::uniform_tiles, CostModel, Precision, TwExecOptions};
+use tile_wise_repro::gpu_sim::{cost::uniform_tiles, CostModel, Precision};
 use tile_wise_repro::prelude::*;
 use tile_wise_repro::tensor::GemmShape;
 
@@ -13,6 +13,8 @@ fn main() {
     let shape = GemmShape::new(1024, 768, 768);
     let dense_t = cost.dense_gemm(shape, CoreKind::TensorCore, Precision::Fp16).time_s;
     let dense_c = cost.dense_gemm(shape, CoreKind::CudaCore, Precision::Fp32).time_s;
+    let tensor = ExecutionConfig::optimized(CoreKind::TensorCore);
+    let cuda = ExecutionConfig::optimized(CoreKind::CudaCore);
     println!("BERT GEMM 1024x768x768 on a modelled V100");
     println!(
         "dense tensor-core: {:.1} us   dense CUDA-core: {:.1} us\n",
@@ -28,8 +30,8 @@ fn main() {
         let csr = cost.csr_spmm(shape, sparsity).time_s;
         let bsr = cost.bsr_gemm(shape, 32, sparsity).time_s;
         let tiles = uniform_tiles(768, 768, 128, sparsity);
-        let tw_t = cost.tw_gemm(1024, 768, 768, &tiles, TwExecOptions::optimized_tensor()).time_s;
-        let tw_c = cost.tw_gemm(1024, 768, 768, &tiles, TwExecOptions::optimized_cuda()).time_s;
+        let tw_t = cost.tw_gemm(1024, 768, 768, &tiles, &tensor).time_s;
+        let tw_c = cost.tw_gemm(1024, 768, 768, &tiles, &cuda).time_s;
         println!(
             "{:>8.0}% {:>14.1} {:>14.1} {:>14.1} {:>14.1}",
             sparsity * 100.0,
@@ -42,6 +44,6 @@ fn main() {
     println!();
     println!("Speedup of TW-128 over dense tensor-core at 75%: {:.2}x", {
         let tiles = uniform_tiles(768, 768, 128, 0.75);
-        dense_t / cost.tw_gemm(1024, 768, 768, &tiles, TwExecOptions::optimized_tensor()).time_s
+        dense_t / cost.tw_gemm(1024, 768, 768, &tiles, &tensor).time_s
     });
 }

@@ -40,7 +40,7 @@ fn main() {
             768,
             768,
             &tw_matrix.tile_shapes(),
-            tile_wise_repro::gpu_sim::TwExecOptions::optimized_tensor(),
+            &ExecutionConfig::optimized(CoreKind::TensorCore),
         )
         .time_s;
     println!(

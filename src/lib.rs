@@ -68,8 +68,7 @@ pub mod prelude {
         ModelEvaluation, PatternChoice, SparseModelReport, TileWiseMatrix, TileWisePruner,
     };
     pub use tw_cluster::{
-        AutoscalerConfig, BalancerKind, Cluster, ClusterConfig, ClusterReport, LoadBalancer,
-        Replica, ReplicaSpec,
+        AutoscalerConfig, BalancerKind, Cluster, ClusterConfig, ClusterReport, Replica, ReplicaSpec,
     };
     pub use tw_gpu_sim::{CoreKind, GpuDevice, KernelCounters, TransferCost};
     pub use tw_memory::{

@@ -132,7 +132,7 @@ fn informed_balancers_beat_round_robin_on_heterogeneous_replicas() {
 }
 
 /// Conservation also holds when admission control sheds under overload and
-/// when the autoscaler reshapes the fleet mid-run — across all four
+/// when the autoscaler reshapes the fleet mid-run — across all five
 /// policies.
 #[test]
 fn every_policy_conserves_ids_under_shedding_and_autoscaling() {
